@@ -314,6 +314,33 @@ class FreqResponse:
             raise ConfigurationError("frequency response has non-finite entries")
 
 
+def batched_freq_response(
+    gains: np.ndarray,
+    delays: np.ndarray,
+    dopplers: np.ndarray,
+    symbol_times: np.ndarray,
+    subcarrier_freqs: np.ndarray,
+) -> np.ndarray:
+    """Superpose per-TRP tapped-delay-line channels on OFDM grids, many slots at once.
+
+    ``gains`` (complex), ``delays`` and ``dopplers`` have shape
+    (slots, trp, taps); delays already include any cyclic delay and dopplers
+    any precompensation shift. ``symbol_times`` has shape (slots, symbols).
+    Returns H with shape (slots, symbols, subcarriers):
+
+    H_s(t, f) = sum_trp sum_tap g exp(j 2 pi doppler t) exp(-j 2 pi f delay).
+    """
+    t = np.asarray(symbol_times, dtype=float)
+    f = np.asarray(subcarrier_freqs, dtype=float)
+    n_slots, n_trp, _ = gains.shape
+    h = np.zeros((n_slots, t.shape[1], len(f)), dtype=complex)
+    for k in range(n_trp):
+        time_phase = np.exp(2j * math.pi * (t[:, :, None] * dopplers[:, None, k, :]))
+        freq_phase = np.exp(-2j * math.pi * (delays[:, k, :, None] * f))
+        h += (time_phase * gains[:, None, k, :]) @ freq_phase
+    return h
+
+
 def combined_freq_response(
     taps_per_trp: list[ChannelTaps],
     cdd_delays: list[float],
@@ -321,10 +348,13 @@ def combined_freq_response(
     symbol_times: np.ndarray,
     subcarrier_freqs: np.ndarray,
 ) -> FreqResponse:
-    """Superpose per-TRP tapped-delay-line channels on an OFDM grid.
+    """Superpose per-TRP tapped-delay-line channels on one OFDM grid.
 
     H(t, f) = sum_trp sum_tap g exp(j 2 pi (doppler - precomp) t)
                               exp(-j 2 pi f (delay + cdd)).
+
+    One-slot form of :func:`batched_freq_response`; TRPs with fewer taps are
+    padded with zero-gain taps.
     """
     if not (len(taps_per_trp) == len(cdd_delays) == len(precomp_shifts)):
         raise ConfigurationError("per-TRP lists must have matching lengths")
@@ -332,12 +362,19 @@ def combined_freq_response(
         raise ConfigurationError("need at least one TRP")
     t = np.asarray(symbol_times, dtype=float)
     f = np.asarray(subcarrier_freqs, dtype=float)
-    h = np.zeros((len(t), len(f)), dtype=complex)
-    for taps, cdd, pre in zip(taps_per_trp, cdd_delays, precomp_shifts):
-        time_phase = np.exp(2j * math.pi * np.outer(t, taps.dopplers - pre))  # (T, taps)
-        freq_phase = np.exp(-2j * math.pi * np.outer(taps.delays + cdd, f))  # (taps, F)
-        h += (time_phase * taps.gains) @ freq_phase
-    return FreqResponse(h=h, symbol_times=t, subcarrier_freqs=f)
+    n_taps = max(len(taps.delays) for taps in taps_per_trp)
+
+    def stack(rows, dtype):
+        return np.array([np.pad(np.asarray(r, dtype=dtype), (0, n_taps - len(r))) for r in rows])[None]
+
+    h = batched_freq_response(
+        stack([taps.gains for taps in taps_per_trp], complex),
+        stack([taps.delays + cdd for taps, cdd in zip(taps_per_trp, cdd_delays)], float),
+        stack([taps.dopplers - pre for taps, pre in zip(taps_per_trp, precomp_shifts)], float),
+        t[None, :],
+        f,
+    )
+    return FreqResponse(h=h[0], symbol_times=t, subcarrier_freqs=f)
 
 
 # ---------------------------------------------------------------------------

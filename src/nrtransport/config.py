@@ -9,6 +9,7 @@ the offending key and line number.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -135,6 +136,10 @@ def _convert(key: str, raw: str, spec: FieldSpec, lineno: int):
         raise ConfigurationError(
             f"line {lineno}: key '{key}' expects {spec.kind}, got '{raw}'"
         ) from exc
+    if spec.kind in ("float", "float_list") and not all(
+        math.isfinite(v) for v in (value if spec.kind == "float_list" else (value,))
+    ):
+        raise ConfigurationError(f"line {lineno}: key '{key}' must be finite, got '{raw}'")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(
             f"line {lineno}: key '{key}' must be one of {spec.choices}, got '{value}'"

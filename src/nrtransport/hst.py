@@ -5,6 +5,13 @@ diversity, SFN with genie Doppler precompensation, and dynamic point switching
 (genie TRP selection). The physical layer is abstracted: per-resource-element
 SINR -> exponential effective-SNR mapping per code block -> logistic block
 error curve, with Chase-combining HARQ modeled as linear SNR accumulation.
+
+The sweep is evaluated in fixed chunks of slots: per chunk, one batched
+frequency response (``channel.batched_freq_response``) gives the per-RE SINR
+of every slot, and the first attempt's ESM, BLER and pass/fail flags of every
+code block are computed at once. Only Chase-combining retransmissions, which
+depend on earlier outcomes, are evaluated slot by slot as the transport blocks
+are walked in order.
 """
 
 from __future__ import annotations
@@ -19,12 +26,17 @@ from .channel import (
     SPEED_OF_LIGHT,
     SectorPattern,
     TapProfile,
+    batched_freq_response,
     default_rail_profile,
-    los_observation,
 )
 from .errors import ConfigurationError
 from .rng import substream
 from .scenario import Deployment, Trajectory
+
+# Slots evaluated per batched chunk. At the default grid (13 data symbols x 50
+# sampled subcarriers, 10.4 kB per slot) each complex chunk array stays under
+# about 0.5 MB, so memory does not grow with the length of the sweep.
+SLOT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -101,13 +113,18 @@ def transport_block_size(numerology: Numerology, mcs: Mcs, overhead_symbols: int
     return int(math.floor(bits + 1e-9))
 
 
+def _esm_db(sinr_rows: np.ndarray, beta: float) -> np.ndarray:
+    """Exponential effective-SNR mapping of each row of REs, in dB."""
+    means = np.mean(np.exp(-sinr_rows / beta), axis=-1)
+    return np.array([10.0 * math.log10(max(-beta * math.log(m), 1e-300)) for m in means.tolist()])
+
+
 def effective_snr(sinr_linear, beta: float = 1.0) -> float:
     """Exponential effective-SNR mapping over resource elements, in dB."""
     g = np.asarray(sinr_linear, dtype=float).ravel()
     if g.size == 0:
         raise ConfigurationError("empty SINR set")
-    eff = -beta * math.log(float(np.mean(np.exp(-g / beta))))
-    return 10.0 * math.log10(max(eff, 1e-300))
+    return float(_esm_db(g[None, :], beta)[0])
 
 
 @dataclass(frozen=True)
@@ -123,14 +140,13 @@ class BlerParams:
         return 10.0 * math.log10(2.0 ** mcs.spectral_efficiency - 1.0) + self.margin_db
 
 
-def bler(snr_eff_db: float, mcs: Mcs, params: BlerParams | None = None) -> float:
-    """Logistic block error probability."""
+def bler(snr_eff_db, mcs: Mcs, params: BlerParams | None = None):
+    """Logistic block error probability, elementwise over an array of SNRs."""
     params = params or BlerParams()
-    th = params.threshold_for(mcs)
-    z = (snr_eff_db - th) / params.slope_db
-    if z > 0:
-        return math.exp(-z) / (1.0 + math.exp(-z))
-    return 1.0 / (1.0 + math.exp(z))
+    z = (np.asarray(snr_eff_db, dtype=float) - params.threshold_for(mcs)) / params.slope_db
+    e = np.exp(-np.abs(z))  # never overflows
+    p = np.where(z > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -270,6 +286,7 @@ def run_hst_sweep(
 
     sym_t_rel = (np.arange(n_data_symbols) + 0.5) * numerology.symbol_duration
     freqs = numerology.subcarrier_freqs(params.subcarrier_step)
+    best_trp = np.argmax(ch.gains_lin, axis=1)[:, None, None]
 
     cdd = np.zeros(n_trp)
     if scheme is Scheme.SFN_CDD:
@@ -290,69 +307,108 @@ def run_hst_sweep(
     basis = np.column_stack([np.ones(n_data_symbols), tt])
     resid_proj = np.eye(n_data_symbols) - basis @ np.linalg.pinv(basis)
 
-    def slot_sinr(s: int) -> np.ndarray:
-        """Per-RE SINR (data symbols x sampled subcarriers) for slot s."""
+    def chunk_sinr(lo: int, hi: int) -> np.ndarray:
+        """Per-RE SINR (slots x data symbols x sampled subcarriers) of slots [lo, hi)."""
+        taps = [ch.amps[lo:hi], ch.phases[lo:hi], ch.delays[lo:hi], ch.dopplers[lo:hi]]
         if scheme is Scheme.DPS:
-            trps = [int(np.argmax(ch.gains_lin[s]))]
-        else:
-            trps = list(range(n_trp))
-        t_abs = trajectory.t[s] + sym_t_rel
-        h = np.zeros((n_data_symbols, len(freqs)), dtype=complex)
-        p_tot = 0.0
-        nu_acc = 0.0
-        for k in trps:
-            pre = ch.los_dopplers[s, k] if scheme is Scheme.SFN_PRECOMP else 0.0
-            g = ch.amps[s, k] * np.exp(1j * ch.phases[s, k])
-            tp = np.exp(2j * math.pi * np.outer(t_abs, ch.dopplers[s, k] - pre))
-            fp = np.exp(-2j * math.pi * np.outer(ch.delays[s, k] + cdd[k], freqs))
-            h += (tp * g) @ fp
-            w = ch.amps[s, k] ** 2
-            p_tot += float(np.sum(w))
-            nu_acc += float(np.sum(w * (ch.dopplers[s, k] - pre)))
+            taps = [np.take_along_axis(a, best_trp[lo:hi], axis=1) for a in taps]
+        amps, phases, delays, dopplers = taps
+        if scheme is Scheme.SFN_PRECOMP:
+            dopplers = dopplers - ch.los_dopplers[lo:hi, :, None]
+        if scheme is Scheme.SFN_CDD:
+            delays = delays + cdd[:, None]
+        t_abs = trajectory.t[lo:hi, None] + sym_t_rel
+        h = batched_freq_response(amps * np.exp(1j * phases), delays, dopplers, t_abs, freqs)
         if not shared_rs:
             return (np.abs(h) ** 2) / noise
-        nu_hat = nu_acc / p_tot  # power-weighted common frequency offset
-        detrended = h * np.exp(-2j * math.pi * nu_hat * t_abs)[:, None]
+        # Power-weighted common frequency offset, accumulated TRP by TRP.
+        w = amps**2
+        p_tot = np.zeros(hi - lo)
+        nu_acc = np.zeros(hi - lo)
+        for k in range(w.shape[1]):
+            p_tot = p_tot + np.sum(w[:, k], axis=-1)
+            nu_acc = nu_acc + np.sum(w[:, k] * dopplers[:, k], axis=-1)
+        nu_hat = nu_acc / p_tot
+        detrended = h * np.exp(-2j * math.pi * nu_hat[:, None] * t_abs)[:, :, None]
         est_err = np.abs(resid_proj @ detrended) ** 2
         return (np.abs(h) ** 2) / (noise + est_err)
 
-    results: list[SlotResult] = []
-    s = 0
-    while s < n_slots:
-        start = s
-        acc = slot_sinr(s)
-        first_eff = min(effective_snr(acc[sl], params.esm_beta) for sl in cb_slices)
-        attempts = 1
-        delivered = 0
-        while True:
-            ok = True
+    def slot_stream():
+        """(per-RE SINR, first-attempt ESM in dB, first-attempt success) per
+        slot, evaluated SLOT_CHUNK slots at a time."""
+        for lo in range(0, n_slots, SLOT_CHUNK):
+            hi = min(lo + SLOT_CHUNK, n_slots)
+            sinr = chunk_sinr(lo, hi)
+            first_eff = np.full(hi - lo, np.inf)
+            failed = np.zeros(hi - lo, dtype=bool)
             for ci, sl in enumerate(cb_slices):
-                eff = effective_snr(acc[sl], params.esm_beta)
-                p_err = bler(eff, mcs, params.bler)
-                if draw[s, ci] < p_err:
-                    ok = False
-            if ok:
-                delivered = tbs
+                eff = _esm_db(sinr[:, sl, :].reshape(hi - lo, -1), params.esm_beta)
+                first_eff = np.minimum(first_eff, eff)
+                failed |= draw[lo:hi, ci] < bler(eff, mcs, params.bler)
+            yield from zip(sinr, first_eff.tolist(), (~failed).tolist())
+
+    def decoded(acc: np.ndarray, s: int) -> bool:
+        return all(
+            draw[s, ci] >= bler(effective_snr(acc[sl], params.esm_beta), mcs, params.bler)
+            for ci, sl in enumerate(cb_slices)
+        )
+
+    slots = enumerate(slot_stream())
+    results: list[SlotResult] = []
+    for start, (acc, first_eff, ok) in slots:
+        attempts = 1
+        while not ok and attempts <= params.max_harq_retx:
+            retx = next(slots, None)
+            if retx is None:
                 break
-            if attempts > params.max_harq_retx:
-                break
-            s += 1
-            if s >= n_slots:
-                break
+            s, (sinr, _, _) = retx
             attempts += 1
-            acc = acc + slot_sinr(s)  # Chase combining: linear SNR accumulation
+            acc = acc + sinr  # Chase combining: linear SNR accumulation
+            ok = decoded(acc, s)
         results.append(
             SlotResult(
                 slot_index=start,
                 scheme=scheme,
                 train_x=float(trajectory.position[start, 0]),
-                delivered_bits=delivered,
+                delivered_bits=tbs if ok else 0,
                 harq_attempts_used=attempts,
                 effective_snr_db=first_eff,
             )
         )
-        s += 1
     return results
+
+
+@dataclass(frozen=True)
+class PositionBins:
+    """Slot results aggregated in position bins; empty bins are dropped."""
+
+    centers_m: np.ndarray
+    throughput_bps: np.ndarray  # delivered bits per second of air time
+    snr_eff_db: np.ndarray  # mean first-attempt effective SNR
+    harq_attempts: np.ndarray  # mean slots per transport block
+
+
+def bin_by_position(results: list[SlotResult], bin_m: float, slot_duration: float) -> PositionBins:
+    """Aggregate slot results in bins of ``bin_m`` metres of train position."""
+    if not bin_m > 0:
+        raise ConfigurationError(f"bin size must be positive, got {bin_m}")
+    if not results:
+        raise ConfigurationError("no slot results")
+    xs = np.array([r.train_x for r in results])
+    bits = np.array([r.delivered_bits for r in results], dtype=float)
+    slots = np.array([r.harq_attempts_used for r in results], dtype=float)
+    snrs = np.array([r.effective_snr_db for r in results])
+    idx = np.floor(xs / bin_m).astype(int)
+    rows = []
+    for b in np.unique(idx):
+        sel = idx == b
+        rows.append((
+            (b + 0.5) * bin_m,
+            np.sum(bits[sel]) / (np.sum(slots[sel]) * slot_duration),
+            np.mean(snrs[sel]),
+            np.mean(slots[sel]),
+        ))
+    return PositionBins(*(np.array(col) for col in zip(*rows)))
 
 
 def throughput_vs_position(
@@ -364,17 +420,5 @@ def throughput_vs_position(
 
     Returns (bin_centers_m, throughput_bps); empty bins are dropped.
     """
-    if bin_m <= 0:
-        raise ConfigurationError("bin size must be positive")
-    if not results:
-        raise ConfigurationError("no slot results")
-    xs = np.array([r.train_x for r in results])
-    bits = np.array([r.delivered_bits for r in results], dtype=float)
-    slots = np.array([r.harq_attempts_used for r in results], dtype=float)
-    idx = np.floor(xs / bin_m).astype(int)
-    centers, tput = [], []
-    for b in np.unique(idx):
-        sel = idx == b
-        centers.append((b + 0.5) * bin_m)
-        tput.append(np.sum(bits[sel]) / (np.sum(slots[sel]) * slot_duration))
-    return np.array(centers), np.array(tput)
+    bins = bin_by_position(results, bin_m, slot_duration)
+    return bins.centers_m, bins.throughput_bps

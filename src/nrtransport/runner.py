@@ -152,20 +152,13 @@ def _hst_one(task):
     results = hst.run_hst_sweep(
         deployment, trajectory, scheme, numerology, hst.Mcs(), seed, params
     )
-    xs = np.array([r.train_x for r in results])
-    bits = np.array([r.delivered_bits for r in results], dtype=float)
-    slots = np.array([r.harq_attempts_used for r in results], dtype=float)
-    snrs = np.array([r.effective_snr_db for r in results])
-    idx = np.floor(xs / p["bin_m"]).astype(int)
-    rows = []
-    for b in np.unique(idx):
-        sel = idx == b
-        tput = np.sum(bits[sel]) / (np.sum(slots[sel]) * numerology.slot_duration)
-        rows.append(
-            (scheme, float((b + 0.5) * p["bin_m"]), float(tput / 1e6),
-             float(np.mean(snrs[sel])), float(np.mean(slots[sel])))
+    bins = hst.bin_by_position(results, p["bin_m"], numerology.slot_duration)
+    return [
+        (scheme, float(x), float(tput / 1e6), float(snr), float(attempts))
+        for x, tput, snr, attempts in zip(
+            bins.centers_m, bins.throughput_bps, bins.snr_eff_db, bins.harq_attempts
         )
-    return rows
+    ]
 
 
 def run_hst(config: RunConfig) -> dict[str, str]:
@@ -271,11 +264,7 @@ def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qo
 
 
 def _qos_one(task):
-    p, seed, horizon = task
-    if p["trace_csv"]:
-        trace = qos.ThroughputTrace.from_csv(p["trace_csv"])
-    else:
-        trace = default_hst_trace(seed, p["trace_epoch_s"], p["trace_repeats"])
+    trace, p, horizon = task
     kwargs = {}
     if p["method"] == "moving_average":
         kwargs["ma_windows"] = p["ma_windows"]
@@ -288,8 +277,12 @@ def _qos_one(task):
 
 def run_qos(config: RunConfig) -> dict[str, str]:
     p = config.params
+    if p["trace_csv"]:
+        trace = qos.ThroughputTrace.from_csv(p["trace_csv"])
+    else:
+        trace = default_hst_trace(config.seed, p["trace_epoch_s"], p["trace_repeats"])
     chunks = _map_tasks(
-        _qos_one, [(p, config.seed, h) for h in p["horizons_s"]], config.workers
+        _qos_one, [(trace, p, h) for h in p["horizons_s"]], config.workers
     )
     rows = [row for chunk in chunks for row in chunk]
     csv = _csv(["horizon_s", "method", "e_prime_bps", "cdf_p"], rows)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from nrtransport import ConfigurationError, load_config, parse_config, run
+from nrtransport import ConfigurationError, load_config, parse_config, run, runner
 from nrtransport.cli import main as cli_main
 from nrtransport.runner import plot_csv
 
@@ -34,6 +34,14 @@ def test_duplicate_key_rejected_with_line():
 def test_type_mismatch_names_key_and_line():
     with pytest.raises(ConfigurationError, match="line 2.*decimation"):
         parse_config("[positioning]\ndecimation = fast\n")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_floats_rejected_with_key_and_line(raw):
+    with pytest.raises(ConfigurationError, match=f"line 3: key 'speed_kmh' must be finite, got '{raw}'"):
+        parse_config(f"[hst]\nseed = 1\nspeed_kmh = {raw}\n")
+    with pytest.raises(ConfigurationError, match="line 2: key 'horizons_s' must be finite"):
+        parse_config(f"[qos]\nhorizons_s = 0.1, {raw}\n")
 
 
 def test_unknown_study_and_missing_section():
@@ -124,6 +132,27 @@ def test_cli_run_and_plot(tmp_path, capsys):
     svg = tmp_path / "replot.svg"
     assert cli_main(["plot", str(csv_path), "-o", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_cli_rejects_zero_bin_size(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[hst]\nscheme = DPS\nspan_m = 10\nbin_m = 0\n")
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "bin size must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hst.csv").exists()
+
+
+def test_qos_trace_built_once_for_all_horizons(tmp_path, monkeypatch):
+    builds = []
+
+    def fake_trace(seed, epoch_s, repeats):
+        builds.append(seed)
+        bits = np.tile([1e5, 3e5, 2e5, 4e5], 500)
+        return runner.qos.ThroughputTrace(epoch_s=epoch_s, delivered_bits=bits)
+
+    monkeypatch.setattr(runner, "default_hst_trace", fake_trace)
+    run(parse_config("[qos]\nseed = 5\nhorizons_s = 0.1, 0.5, 1\n"), str(tmp_path))
+    assert builds == [5]
 
 
 def test_cli_output_dir_env_override(tmp_path, monkeypatch):

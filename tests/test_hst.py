@@ -12,6 +12,7 @@ from nrtransport import (
     bler,
     build_rail_deployment,
     effective_snr,
+    hst,
     linear_trajectory,
     run_hst_sweep,
     throughput_vs_position,
@@ -70,6 +71,31 @@ def _sweep(scheme, span=300.0, **overrides):
     trajectory = linear_trajectory(500.0, span, numerology.slot_duration)
     params = HstLinkParams(**overrides)
     return run_hst_sweep(deployment, trajectory, scheme, numerology, Mcs(), 1, params), numerology
+
+
+@pytest.mark.parametrize("overrides", [{}, {"anchor_snr_db": 6.0, "max_harq_retx": 2}])
+def test_chunk_size_does_not_change_results(monkeypatch, overrides):
+    # The sweep evaluates slots in chunks; HARQ retransmissions that run past
+    # the end of a chunk pull in the next one. The chunk size is not a
+    # parameter of the model, so every size must give the same results.
+    default = hst.SLOT_CHUNK
+    by_chunk = {}
+    for chunk in (1, 7, default):
+        monkeypatch.setattr(hst, "SLOT_CHUNK", chunk)
+        by_chunk[chunk] = [_sweep(scheme, span=40.0, **overrides)[0] for scheme in Scheme]
+    assert by_chunk[1] == by_chunk[7] == by_chunk[default]
+    if overrides:
+        results = [r for per_scheme in by_chunk[7] for r in per_scheme]
+        crossing = [r for r in results if r.slot_index // 7 != (r.slot_index + r.harq_attempts_used - 1) // 7]
+        assert crossing, "no retransmission crossed a chunk boundary"
+        assert any(r.harq_attempts_used == 3 and r.delivered_bits == 0 for r in results)
+
+
+def test_bin_size_must_be_positive():
+    results, numerology = _sweep(Scheme.DPS, span=10.0)
+    for bin_m in (0.0, -20.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="bin size"):
+            throughput_vs_position(results, bin_m, numerology.slot_duration)
 
 
 def test_all_success_gives_flat_peak_curve():
