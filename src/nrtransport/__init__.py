@@ -58,7 +58,7 @@ from .qos import (
     window_bits,
 )
 from .rng import substream
-from .runner import RunManifest, run
+from .runner import VERSION as __version__, RunManifest, run
 from .scenario import (
     ArrayGeometry,
     Deployment,
@@ -83,5 +83,3 @@ from .scheduler import (
     median_file_time,
     simulate_cell,
 )
-
-__version__ = "0.1.0"

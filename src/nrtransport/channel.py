@@ -208,11 +208,6 @@ class TapProfile:
             los_flag=arr[:, 4].astype(int),
         )
 
-    @classmethod
-    def from_file(cls, path) -> "TapProfile":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
 
 def default_rail_profile() -> TapProfile:
     """LoS tap plus three late reflections (K factor ~13 dB)."""

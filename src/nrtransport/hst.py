@@ -116,7 +116,12 @@ def transport_block_size(numerology: Numerology, mcs: Mcs, overhead_symbols: int
 def _esm_db(sinr_rows: np.ndarray, beta: float) -> np.ndarray:
     """Exponential effective-SNR mapping of each row of REs, in dB."""
     means = np.mean(np.exp(-sinr_rows / beta), axis=-1)
-    return np.array([10.0 * math.log10(max(-beta * math.log(m), 1e-300)) for m in means.tolist()])
+    snrs = [-beta * math.log(m) if m else None for m in means.tolist()]
+    if None in snrs:  # a row whose every exp(-g/beta) underflowed: shift by its g_min
+        for i in np.flatnonzero(means == 0.0):
+            g_min = float(np.min(sinr_rows[i]))
+            snrs[i] = g_min - beta * math.log(float(np.mean(np.exp(-(sinr_rows[i] - g_min) / beta))))
+    return np.array([10.0 * math.log10(max(snr, 1e-300)) for snr in snrs])
 
 
 def effective_snr(sinr_linear, beta: float = 1.0) -> float:
@@ -164,6 +169,14 @@ class HstLinkParams:
     estimation_penalty: bool = True  # see slot SINR model below
     pattern: SectorPattern = field(default_factory=SectorPattern)
     profile: TapProfile = field(default_factory=default_rail_profile)
+
+    def __post_init__(self):
+        if not self.esm_beta > 0:
+            raise ConfigurationError(f"ESM beta must be positive, got {self.esm_beta}")
+        if self.max_harq_retx < 0:
+            raise ConfigurationError(f"max HARQ retransmissions must be >= 0, got {self.max_harq_retx}")
+        if not self.cdd_delay_s >= 0:
+            raise ConfigurationError(f"CDD delay must be >= 0, got {self.cdd_delay_s} s")
 
 
 def _link_gains_lin(deployment: Deployment, positions: np.ndarray, params: HstLinkParams) -> np.ndarray:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,18 +42,99 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(header: list[str], rows: list[tuple]) -> str:
+def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _map_tasks(fn, tasks, workers: int):
+def _map_tasks(fn, tasks, workers: int) -> list[tuple]:
+    """The rows of every task, in task order."""
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        chunks = [fn(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(fn, tasks))
+    return [row for chunk in chunks for row in chunk]
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """How one study's result rows become its CSV and its SVG plot.
+
+    The plot has one series per distinct value of the ``keys`` columns, in
+    order of first appearance, named by ``label`` over the key values as the
+    CSV writes them. Each series is drawn in order of its ``x`` column; with
+    no ``y`` column it is the empirical CDF of ``x``.
+    """
+
+    csv: str
+    svg: str
+    header: tuple[str, ...]
+    keys: tuple[str, ...]
+    label: Callable[..., str]
+    x: str
+    y: str | None
+    title: str
+    xlabel: str
+    ylabel: str
+
+
+STUDY_SPECS = {
+    "positioning": StudySpec(
+        "positioning.csv", "positioning_cdf.svg",
+        ("t", "truth_x", "truth_y", "est_x", "est_y", "err_m", "method", "nb_fused_bs", "snr_db"),
+        keys=("method", "snr_db"), label="{} SNR {} dB".format, x="err_m", y=None,
+        title="Horizontal positioning error CDF", xlabel="error (m)", ylabel="P(error <= x)",
+    ),
+    "hst": StudySpec(
+        "hst.csv", "hst_throughput.svg",
+        ("scheme", "train_x_m", "throughput_mbps", "snr_eff_db", "harq_attempts"),
+        keys=("scheme",), label=str, x="train_x_m", y="throughput_mbps",
+        title="Downlink throughput vs train position",
+        xlabel="train position (m)", ylabel="throughput (Mbps)",
+    ),
+    "scheduler": StudySpec(
+        "scheduler.csv", "scheduler_tput.svg",
+        ("density_mbps_km2", "drop_fraction", "mean_user_tput_mbps",
+         "coverage_fraction", "median_file_time_s"),
+        keys=("drop_fraction",), label=lambda rho: f"drop {int(round(float(rho) * 100))}%",
+        x="density_mbps_km2", y="mean_user_tput_mbps",
+        title="Mean user throughput vs traffic density",
+        xlabel="traffic density (Mbps/km^2)", ylabel="mean user throughput (Mbps)",
+    ),
+    "qos": StudySpec(
+        "qos.csv", "qos_cdf.svg",
+        ("horizon_s", "method", "e_prime_bps", "cdf_p"),
+        keys=("horizon_s",), label="horizon {} s".format, x="e_prime_bps", y="cdf_p",
+        title="Throughput prediction error CDF", xlabel="e' (bit/s)", ylabel="P(e' <= x)",
+    ),
+}
+
+
+def _svg(spec: StudySpec, rows) -> str:
+    """The study's plot of its rows: tuples from a run, or cell strings from its CSV."""
+    col = spec.header.index
+    keys, xi = [col(k) for k in spec.keys], col(spec.x)
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        groups.setdefault(tuple([_fmt(row[i]) for i in keys]), []).append(row)
+    series = []
+    for key, sel in groups.items():
+        x = np.array([float(r[xi]) for r in sel])
+        order = np.argsort(x, kind="stable")
+        if spec.y is None:
+            y = np.arange(1, len(x) + 1) / len(x)
+        else:
+            y = np.array([float(r[col(spec.y)]) for r in sel])[order]
+        series.append(Series(spec.label(*key), x[order], y))
+    return line_plot(series, title=spec.title, xlabel=spec.xlabel, ylabel=spec.ylabel)
+
+
+def _render(spec: StudySpec, rows: list[tuple]) -> dict[str, str]:
+    """The study's CSV and SVG, both drawn from the rows already in memory."""
+    return {spec.csv: _csv(spec.header, rows), spec.svg: _svg(spec, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -105,27 +188,8 @@ def _positioning_one(task):
 
 def run_positioning(config: RunConfig) -> dict[str, str]:
     p = config.params
-    chunks = _map_tasks(
-        _positioning_one, [(p, config.seed, snr) for snr in p["snr_db"]], config.workers
-    )
-    rows = [row for chunk in chunks for row in chunk]
-    csv = _csv(
-        ["t", "truth_x", "truth_y", "est_x", "est_y", "err_m", "method", "nb_fused_bs", "snr_db"],
-        rows,
-    )
-    series = []
-    for snr in p["snr_db"]:
-        for method in ("fused", "nr_only"):
-            errs = sorted(r[5] for r in rows if r[6] == method and r[8] == snr)
-            if not errs:
-                continue
-            probs = np.arange(1, len(errs) + 1) / len(errs)
-            series.append(Series(f"{method} SNR {_fmt(snr)} dB", np.asarray(errs), probs))
-    svg = line_plot(
-        series, title="Horizontal positioning error CDF",
-        xlabel="error (m)", ylabel="P(error <= x)",
-    )
-    return {"positioning.csv": csv, "positioning_cdf.svg": svg}
+    tasks = [(p, config.seed, snr) for snr in p["snr_db"]]
+    return _render(STUDY_SPECS["positioning"], _map_tasks(_positioning_one, tasks, config.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +228,8 @@ def _hst_one(task):
 def run_hst(config: RunConfig) -> dict[str, str]:
     p = config.params
     schemes = [s.value for s in hst.Scheme] if p["scheme"] == "all" else [p["scheme"]]
-    chunks = _map_tasks(_hst_one, [(p, config.seed, s) for s in schemes], config.workers)
-    rows = [row for chunk in chunks for row in chunk]
-    csv = _csv(["scheme", "train_x_m", "throughput_mbps", "snr_eff_db", "harq_attempts"], rows)
-    series = []
-    for scheme, chunk in zip(schemes, chunks):
-        series.append(
-            Series(scheme, np.array([r[1] for r in chunk]), np.array([r[2] for r in chunk]))
-        )
-    svg = line_plot(
-        series, title="Downlink throughput vs train position",
-        xlabel="train position (m)", ylabel="throughput (Mbps)",
-    )
-    return {"hst.csv": csv, "hst_throughput.svg": svg}
+    tasks = [(p, config.seed, s) for s in schemes]
+    return _render(STUDY_SPECS["hst"], _map_tasks(_hst_one, tasks, config.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +252,8 @@ def _scheduler_one(task):
         deployment, [density], [rho], reps, seed,
         duration=p["duration_s"], traffic_template=traffic,
     )
-    return (point.density_mbps_km2, point.drop_fraction, point.mean_user_tput_mbps,
-            point.coverage_fraction, point.median_file_time_s)
+    return [(point.density_mbps_km2, point.drop_fraction, point.mean_user_tput_mbps,
+             point.coverage_fraction, point.median_file_time_s)]
 
 
 def run_scheduler(config: RunConfig) -> dict[str, str]:
@@ -210,24 +263,7 @@ def run_scheduler(config: RunConfig) -> dict[str, str]:
         for d in p["densities_mbps_km2"]
         for rho in p["drop_fractions"]
     ]
-    rows = _map_tasks(_scheduler_one, tasks, config.workers)
-    csv = _csv(
-        ["density_mbps_km2", "drop_fraction", "mean_user_tput_mbps",
-         "coverage_fraction", "median_file_time_s"],
-        rows,
-    )
-    series = []
-    for rho in p["drop_fractions"]:
-        sel = sorted((r for r in rows if r[1] == rho), key=lambda r: r[0])
-        series.append(
-            Series(f"drop {int(round(rho * 100))}%",
-                   np.array([r[0] for r in sel]), np.array([r[2] for r in sel]))
-        )
-    svg = line_plot(
-        series, title="Mean user throughput vs traffic density",
-        xlabel="traffic density (Mbps/km^2)", ylabel="mean user throughput (Mbps)",
-    )
-    return {"scheduler.csv": csv, "scheduler_tput.svg": svg}
+    return _render(STUDY_SPECS["scheduler"], _map_tasks(_scheduler_one, tasks, config.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +317,8 @@ def run_qos(config: RunConfig) -> dict[str, str]:
         trace = qos.ThroughputTrace.from_csv(p["trace_csv"])
     else:
         trace = default_hst_trace(config.seed, p["trace_epoch_s"], p["trace_repeats"])
-    chunks = _map_tasks(
-        _qos_one, [(trace, p, h) for h in p["horizons_s"]], config.workers
-    )
-    rows = [row for chunk in chunks for row in chunk]
-    csv = _csv(["horizon_s", "method", "e_prime_bps", "cdf_p"], rows)
-    series = [
-        Series(f"horizon {_fmt(h)} s",
-               np.array([r[2] for r in chunk]), np.array([r[3] for r in chunk]))
-        for h, chunk in zip(p["horizons_s"], chunks)
-    ]
-    svg = line_plot(
-        series, title="Throughput prediction error CDF",
-        xlabel="e' (bit/s)", ylabel="P(e' <= x)",
-    )
-    return {"qos.csv": csv, "qos_cdf.svg": svg}
+    tasks = [(trace, p, h) for h in p["horizons_s"]]
+    return _render(STUDY_SPECS["qos"], _map_tasks(_qos_one, tasks, config.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -335,57 +358,30 @@ class RunManifest:
 
 
 def plot_csv(csv_path: str, out_path: str | None = None) -> str:
-    """Regenerate the SVG plot for a study CSV (identified by its header)."""
-    import csv as csvmod
+    """Redraw the SVG of a study CSV (identified by its header) as the run drew it."""
+    import csv  # only here: a run never reads CSV text back
 
     with open(csv_path, "r", encoding="utf-8") as fh:
-        reader = csvmod.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
-        data = [row for row in reader if row]
+        data = [(reader.line_num, row) for row in reader if row]
     if header is None or not data:
         raise ConfigurationError(f"{csv_path}: empty CSV")
-
-    def col(name, rows, cast=float):
-        i = header.index(name)
-        return [cast(r[i]) for r in rows]
-
-    series = []
-    if header == ["t", "truth_x", "truth_y", "est_x", "est_y", "err_m",
-                  "method", "nb_fused_bs", "snr_db"]:
-        keys = sorted({(r[6], r[8]) for r in data})
-        for method, snr in keys:
-            sel = [r for r in data if r[6] == method and r[8] == snr]
-            errs = np.sort(np.array(col("err_m", sel)))
-            series.append(Series(f"{method} SNR {snr} dB", errs,
-                                 np.arange(1, len(errs) + 1) / len(errs)))
-        svg = line_plot(series, title="Horizontal positioning error CDF",
-                        xlabel="error (m)", ylabel="P(error <= x)")
-    elif header == ["scheme", "train_x_m", "throughput_mbps", "snr_eff_db", "harq_attempts"]:
-        for scheme in dict.fromkeys(r[0] for r in data):
-            sel = [r for r in data if r[0] == scheme]
-            series.append(Series(scheme, np.array(col("train_x_m", sel)),
-                                 np.array(col("throughput_mbps", sel))))
-        svg = line_plot(series, title="Downlink throughput vs train position",
-                        xlabel="train position (m)", ylabel="throughput (Mbps)")
-    elif header == ["density_mbps_km2", "drop_fraction", "mean_user_tput_mbps",
-                    "coverage_fraction", "median_file_time_s"]:
-        for rho in dict.fromkeys(r[1] for r in data):
-            sel = sorted((r for r in data if r[1] == rho), key=lambda r: float(r[0]))
-            series.append(Series(f"drop {int(round(float(rho) * 100))}%",
-                                 np.array(col("density_mbps_km2", sel)),
-                                 np.array(col("mean_user_tput_mbps", sel))))
-        svg = line_plot(series, title="Mean user throughput vs traffic density",
-                        xlabel="traffic density (Mbps/km^2)",
-                        ylabel="mean user throughput (Mbps)")
-    elif header == ["horizon_s", "method", "e_prime_bps", "cdf_p"]:
-        for h in dict.fromkeys(r[0] for r in data):
-            sel = [r for r in data if r[0] == h]
-            series.append(Series(f"horizon {h} s", np.array(col("e_prime_bps", sel)),
-                                 np.array(col("cdf_p", sel))))
-        svg = line_plot(series, title="Throughput prediction error CDF",
-                        xlabel="e' (bit/s)", ylabel="P(e' <= x)")
-    else:
+    spec = next((s for s in STUDY_SPECS.values() if list(s.header) == header), None)
+    if spec is None:
         raise ConfigurationError(f"{csv_path}: unrecognized CSV header {header}")
+    plotted = [spec.header.index(c) for c in (spec.x, spec.y) if c]
+    keys = [spec.header.index(k) for k in spec.keys]
+    for line, row in data:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            if not all(math.isfinite(float(row[i])) for i in plotted):
+                raise ValueError(f"plotted cell is not finite: {row}")
+            spec.label(*(row[i] for i in keys))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{csv_path}: line {line}: {exc}") from None
+    svg = _svg(spec, [row for _, row in data])
 
     out = out_path or os.path.splitext(csv_path)[0] + ".svg"
     with open(out, "w", encoding="utf-8") as fh:

@@ -51,7 +51,6 @@ class Site:
     boresight_azimuth: float = 0.0  # rad, 0 = +x
     downtilt: float = 0.0  # rad, in [0, pi/2)
     antenna: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(1, 1))
-    tx_power_eirp_reference: float = 0.0  # dB, relative anchor (see channel)
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
@@ -223,6 +222,8 @@ def snake_trajectory(
         raise ConfigurationError("speed and dt must be positive")
     if period <= 0:
         raise ConfigurationError("snake period must be positive")
+    if not span > 0:
+        raise ConfigurationError(f"span must be positive, got {span}")
     v = speed_kmh * KMH
     n = int(round(span / (v * dt))) + 1
     t = np.arange(n) * dt

@@ -28,6 +28,8 @@ class TrafficConfig:
     def __post_init__(self):
         if self.density_mbps_km2 < 0:
             raise ConfigurationError("traffic density must be non-negative")
+        if not self.file_size_bits > 0:
+            raise ConfigurationError(f"file size must be positive, got {self.file_size_bits} bits")
 
 
 @dataclass(frozen=True)

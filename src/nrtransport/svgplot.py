@@ -125,9 +125,3 @@ def line_plot(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_plot(path, series: list[Series], **kwargs) -> None:
-    svg = line_plot(series, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -124,14 +125,36 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
 
 
 def test_cli_run_and_plot(tmp_path, capsys):
+    configs = {
+        "positioning": "[positioning]\nseed = 3\nspan_m = 400\nsnr_db = 5, 15\n",
+        "hst": "[hst]\nseed = 3\nspan_m = 40\n",
+        "scheduler": "[scheduler]\nseed = 3\nduration_s = 20\nreplications = 2\n",
+        "qos": "[qos]\nseed = 3\ntrace_repeats = 3\nhorizons_s = 0.1, 1\n",
+    }
+    for study, text in configs.items():
+        cfg = tmp_path / f"{study}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / study
+        assert cli_main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        spec = runner.STUDY_SPECS[study]
+        replot = tmp_path / f"{study}_replot.svg"
+        assert cli_main(["plot", str(out / spec.csv), "-o", str(replot)]) == 0
+        assert replot.read_bytes() == (out / spec.svg).read_bytes(), study
+
+
+@pytest.mark.parametrize("text", [
+    "[hst]\nscheme = DPS\nspan_m = -5\n",
+    "[hst]\nscheme = DPS\nspan_m = 10\nesm_beta = 0\n",
+    "[hst]\nscheme = DPS\nspan_m = 10\nmax_harq_retx = -1\n",
+    "[hst]\nscheme = DPS\nspan_m = 10\ncdd_us = -1\n",
+    "[scheduler]\ndensities_mbps_km2 = 150\nduration_s = 1\nfile_size_mb = 0\n",
+], ids=["span_m", "esm_beta", "max_harq_retx", "cdd_us", "file_size_mb"])
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_tiny_positioning_config(tmp_path / "out"))
-    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
-    csv_path = tmp_path / "out" / "positioning.csv"
-    assert csv_path.exists()
-    svg = tmp_path / "replot.svg"
-    assert cli_main(["plot", str(csv_path), "-o", str(svg)]) == 0
-    assert svg.read_text().startswith("<svg")
+    cfg.write_text(text)
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_cli_rejects_zero_bin_size(tmp_path, capsys):
@@ -164,10 +187,18 @@ def test_cli_output_dir_env_override(tmp_path, monkeypatch):
 
 
 def test_plot_rejects_unknown_header(tmp_path):
-    weird = tmp_path / "weird.csv"
-    weird.write_text("alpha,beta\n1,2\n")
-    with pytest.raises(ConfigurationError):
-        plot_csv(str(weird))
+    header = ",".join(runner.STUDY_SPECS["hst"].header)
+    cases = [
+        ("alpha,beta\n1,2\n", "unrecognized CSV header"),
+        (f"{header}\nSFN,10.0,5.0,12.0,1.0\n1,2\n", "line 3: expected 5 cells, got 2"),
+        (f"{header}\nSFN,abc,5.0,12.0,1.0\n", "line 2: could not convert string to float: 'abc'"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        weird = tmp_path / f"weird{i}.csv"
+        weird.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{weird}: {message}")):
+            plot_csv(str(weird))
+        assert cli_main(["plot", str(weird)]) == 1
 
 
 def test_scheduler_config_round_trip(tmp_path):

@@ -53,6 +53,11 @@ def test_effective_snr_penalizes_nulls():
     assert eff < 10.0 * math.log10(x_lin) - 3.0
 
 
+def test_effective_snr_survives_underflow():
+    # exp(-1e5 / 5) underflows to 0 for every RE; the shifted form is exact.
+    assert effective_snr([1e5] * 10, beta=5.0) == 50.0
+
+
 def test_bler_limits_and_threshold():
     mcs = Mcs()
     params = BlerParams()
