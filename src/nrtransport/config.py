@@ -24,6 +24,7 @@ class FieldSpec:
     kind: str  # int | float | str | bool | float_list
     default: object = _REQUIRED
     choices: tuple | None = None
+    above: float | None = None  # exclusive lower bound of a number
 
 
 _COMMON = {
@@ -58,7 +59,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "cdd_us": FieldSpec("float", 1.0),
         "esm_beta": FieldSpec("float", 5.0),
         "max_harq_retx": FieldSpec("int", 3),
-        "bin_m": FieldSpec("float", 20.0),
+        "bin_m": FieldSpec("float", 20.0, above=0.0),
     },
     "scheduler": {
         "densities_mbps_km2": FieldSpec("float_list", (10.0, 450.0, 1000.0, 2000.0, 3000.0)),
@@ -140,6 +141,10 @@ def _convert(key: str, raw: str, spec: FieldSpec, lineno: int):
         math.isfinite(v) for v in (value if spec.kind == "float_list" else (value,))
     ):
         raise ConfigurationError(f"line {lineno}: key '{key}' must be finite, got '{raw}'")
+    if spec.kind == "float_list" and len(set(value)) != len(value):
+        raise ConfigurationError(f"line {lineno}: key '{key}' repeats a value: '{raw}'")
+    if spec.above is not None and not value > spec.above:
+        raise ConfigurationError(f"line {lineno}: key '{key}' must be > {spec.above!r}, got '{raw}'")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(
             f"line {lineno}: key '{key}' must be one of {spec.choices}, got '{value}'"

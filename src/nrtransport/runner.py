@@ -301,12 +301,9 @@ def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qo
 
 def _qos_one(task):
     trace, p, horizon = task
-    kwargs = {}
-    if p["method"] == "moving_average":
-        kwargs["ma_windows"] = p["ma_windows"]
-    elif p["method"] == "ar1":
-        kwargs["ar1_lambda"] = p["ar1_lambda"]
-    errs = np.sort(qos.horizon_errors(trace, horizon, p["method"], **kwargs))
+    errs = np.sort(qos.horizon_errors(
+        trace, horizon, p["method"], ma_windows=p["ma_windows"], ar1_lambda=p["ar1_lambda"]
+    ))
     probs = np.arange(1, len(errs) + 1) / len(errs)
     return [(horizon, p["method"], float(e), float(cp)) for e, cp in zip(errs, probs)]
 

@@ -1,7 +1,8 @@
 """Minimal self-contained SVG line plots.
 
 No plotting dependency: axes, ticks, polylines and a text legend are emitted
-directly. Output is a deterministic function of the input arrays.
+directly. Output is a deterministic function of the input arrays, and every
+text node is XML-escaped, so it is well-formed XML.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data (``xml.sax.saxutils`` would pull in
+    ``urllib.request`` and about 7 MB at import)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_plot(
     series: list[Series],
     *,
@@ -85,7 +92,7 @@ def line_plot(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
     ]
     # Axes
     parts.append(
@@ -96,22 +103,22 @@ def line_plot(
         parts.append(f'<line x1="{px:.1f}" y1="{mt + ph}" x2="{px:.1f}" y2="{mt + ph + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{px:.1f}" y="{mt + ph + 18}" font-size="11" text-anchor="middle" '
-            f'font-family="sans-serif">{_fmt(tx)}</text>'
+            f'font-family="sans-serif">{_escape(_fmt(tx))}</text>'
         )
     for ty in _ticks(ylo, yhi):
         py = sy(ty)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="black"/>')
         parts.append(
             f'<text x="{ml - 8}" y="{py + 4:.1f}" font-size="11" text-anchor="end" '
-            f'font-family="sans-serif">{_fmt(ty)}</text>'
+            f'font-family="sans-serif">{_escape(_fmt(ty))}</text>'
         )
     parts.append(
         f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif">{xlabel}</text>'
+        f'font-family="sans-serif">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{mt + ph / 2:.1f}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
+        f'font-family="sans-serif" transform="rotate(-90 18 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>'
     )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -121,7 +128,7 @@ def line_plot(
         lx = ml + pw - 160
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-size="12" font-family="sans-serif">{s.label}</text>'
+            f'<text x="{lx + 30}" y="{ly}" font-size="12" font-family="sans-serif">{_escape(s.label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from nrtransport import ConfigurationError, load_config, parse_config, run, runner
 from nrtransport.cli import main as cli_main
 from nrtransport.runner import plot_csv
+
+from golden.compare import compare_csv
 
 
 def test_minimal_config_fills_defaults():
@@ -124,22 +128,49 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "missing.cfg")]) == 3
 
 
-def test_cli_run_and_plot(tmp_path, capsys):
-    configs = {
-        "positioning": "[positioning]\nseed = 3\nspan_m = 400\nsnr_db = 5, 15\n",
-        "hst": "[hst]\nseed = 3\nspan_m = 40\n",
-        "scheduler": "[scheduler]\nseed = 3\nduration_s = 20\nreplications = 2\n",
-        "qos": "[qos]\nseed = 3\ntrace_repeats = 3\nhorizons_s = 0.1, 1\n",
-    }
-    for study, text in configs.items():
-        cfg = tmp_path / f"{study}.cfg"
+TINY_CONFIGS = {
+    "positioning": "[positioning]\nseed = 3\nspan_m = 400\nsnr_db = 5, 15\n",
+    "hst": "[hst]\nseed = 3\nspan_m = 40\n",
+    "scheduler": "[scheduler]\nseed = 3\nduration_s = 20\nreplications = 2\n",
+    "qos": "[qos]\nseed = 3\ntrace_repeats = 3\nhorizons_s = 0.1, 1\n",
+}
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """Each study run through the CLI on its tiny config: study -> output directory."""
+    root = tmp_path_factory.mktemp("tiny")
+    outs = {}
+    for study, text in TINY_CONFIGS.items():
+        cfg = root / f"{study}.cfg"
         cfg.write_text(text)
-        out = tmp_path / study
-        assert cli_main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        outs[study] = root / study
+        assert cli_main(["run", str(cfg), "--output-dir", str(outs[study])]) == 0
+    return outs
+
+
+def test_cli_run_and_plot(tiny_runs, tmp_path):
+    for study, out in tiny_runs.items():
         spec = runner.STUDY_SPECS[study]
         replot = tmp_path / f"{study}_replot.svg"
         assert cli_main(["plot", str(out / spec.csv), "-o", str(replot)]) == 0
         assert replot.read_bytes() == (out / spec.svg).read_bytes(), study
+
+
+def test_tiny_runs_match_golden(tiny_runs):
+    # tests/golden holds these CSVs as committed; keys and integers must match
+    # exactly, floats within a relative 1e-9 (see tests/golden/compare.py).
+    for study, out in tiny_runs.items():
+        name = runner.STUDY_SPECS[study].csv
+        report = compare_csv(str(GOLDEN / name), str(out / name))
+        assert report.exact_parts_match, report.lines()
+        assert all(d.max_rel <= 1e-9 for d in report.floats.values()), report.lines()
+
+
+def test_every_study_svg_is_well_formed(tiny_runs):
+    for study, out in tiny_runs.items():
+        ElementTree.parse(out / runner.STUDY_SPECS[study].svg)
 
 
 @pytest.mark.parametrize("text", [
@@ -158,11 +189,56 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, text):
 
 
 def test_cli_rejects_zero_bin_size(tmp_path, capsys):
+    # The schema rejects it at parse time, before any sweep runs.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[hst]\nscheme = DPS\nspan_m = 10\nbin_m = 0\n")
+    for bin_m in ("0", "-1"):
+        cfg.write_text(f"[hst]\nscheme = DPS\nspan_m = 10\nbin_m = {bin_m}\n")
+        message = f"configuration error: line 4: key 'bin_m' must be > 0.0, got '{bin_m}'\n"
+        assert cli_main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == message
+        assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out" / "hst.csv").exists()
+
+
+@pytest.mark.parametrize("study,key,values", [
+    ("qos", "horizons_s", "0.1, 0.1"),
+    ("positioning", "snr_db", "5, 15, 5.0"),
+    ("scheduler", "densities_mbps_km2", "150, 300, 150"),
+    ("scheduler", "drop_fractions", "0, 0.5, 0.0"),
+])
+def test_repeated_float_list_value_rejected_with_key_and_line(study, key, values):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"line 3: key '{key}' repeats a value: '{values}'")):
+        parse_config(f"[{study}]\nseed = 1\n{key} = {values}\n")
+    parse_config(f"[{study}]\nseed = 1\n{key} = 1, 2\n")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0.05,100\n0.05,nan\n0.05,300\n", "delivered bits must be finite and non-negative"),
+    ("0.05,100\n0.05,\n0.05,300\n", "delivered bits must be finite and non-negative"),
+    ("0.05,100\n", "only 0 evaluable windows at horizon 0.05s"),
+    ("0.05,100\n0.1,200\n0.05,300\n", "epoch_s differs between rows"),
+    ("0.05,100\n0.05,2,3\n", "Line #3 (got 3 columns instead of 2)"),
+], ids=["nan_bits", "blank_bits", "one_row", "mixed_epoch", "ragged_row"])
+def test_cli_rejects_bad_trace_csv(tmp_path, capsys, rows, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("epoch_s,delivered_bits\n" + rows)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[qos]\ntrace_csv = {trace}\nhorizons_s = 0.05\n")
     assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
-    assert "bin size must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "hst.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
+    if "windows" not in message:
+        assert str(trace) in err
+
+
+def test_one_row_trace_csv_loads(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("epoch_s,delivered_bits\n0.05,100\n")
+    trace = runner.qos.ThroughputTrace.from_csv(path)
+    assert trace.epoch_s == 0.05 and list(trace.delivered_bits) == [100.0]
 
 
 def test_qos_trace_built_once_for_all_horizons(tmp_path, monkeypatch):

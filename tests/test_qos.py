@@ -155,3 +155,112 @@ def test_trace_validation():
         ThroughputTrace(1.0, np.array([1.0, -2.0]))
     with pytest.raises(ConfigurationError):
         horizon_errors(ThroughputTrace(1.0, np.ones(5)), 1.0, min_windows=100)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the per-window loop the vectorised predictors replaced,
+# kept here as the reference.
+
+
+def _loop_window_bits(trace, t, dt):
+    e = trace.epoch_s
+    lo, hi = t / e, (t + dt) / e
+    total = 0.0
+    for i in range(max(int(math.floor(lo)), 0), min(int(math.ceil(hi)), len(trace.delivered_bits))):
+        total += trace.delivered_bits[i] * max(min(hi, i + 1) - max(lo, i), 0.0)
+    return total
+
+
+def _loop_predict(trace, t, dt, method, ma_windows, ar1_lambda):
+    if method == "last_window":
+        return _loop_window_bits(trace, t - dt, dt)
+    if method == "moving_average":
+        return float(np.mean([_loop_window_bits(trace, t - (i + 1) * dt, dt) for i in range(ma_windows)]))
+    n = max(1, int(math.floor((t + 1e-9) / dt)))
+    pred = _loop_window_bits(trace, t - n * dt, dt)
+    for i in range(n - 1, 0, -1):
+        pred = ar1_lambda * _loop_window_bits(trace, t - i * dt, dt) + (1.0 - ar1_lambda) * pred
+    return pred
+
+
+def _loop_horizon_errors(trace, dt, method, step_s, ma_windows, ar1_lambda):
+    history = ma_windows * dt if method == "moving_average" else dt
+    step = step_s if step_s is not None else max(trace.epoch_s, dt / 10.0)
+    starts = np.arange(history, trace.duration - dt + 1e-9, step)
+    return np.array([
+        abs(_loop_window_bits(trace, float(t), dt)
+            - _loop_predict(trace, float(t), dt, method, ma_windows, ar1_lambda)) / dt
+        for t in starts
+    ])
+
+
+DIFFERENTIAL_CASES = [
+    # (seed, epoch_s, epochs, horizon_s, step_s)
+    (21, 0.05, 400, 0.1, None),   # whole epochs per horizon
+    (22, 0.1, 300, 0.25, None),   # fractional epoch/horizon ratio
+    (23, 0.1, 300, 0.37, 0.05),   # step finer than an epoch
+    (24, 0.2, 250, 1.0, 0.3),     # step that does not divide the horizon
+    (25, 0.05, 600, 0.7, 0.07),   # step and horizon both off the epoch grid
+]
+
+
+@pytest.mark.parametrize("seed,epoch_s,epochs,horizon_s,step_s", DIFFERENTIAL_CASES)
+def test_vectorised_predictors_match_per_window_loop(seed, epoch_s, epochs, horizon_s, step_s):
+    rng = np.random.default_rng(seed)
+    trace = ThroughputTrace(epoch_s, rng.uniform(0.0, 1e6, epochs))
+    settings = [("last_window", {}), ("moving_average", {"ma_windows": 1}),
+                ("moving_average", {"ma_windows": 4})]
+    settings += [("ar1", {"ar1_lambda": lam}) for lam in (0.05, 0.5, 0.9, 1.0)]
+    for method, kw in settings:
+        want = _loop_horizon_errors(trace, horizon_s, method, step_s,
+                                    kw.get("ma_windows", 4), kw.get("ar1_lambda", 0.5))
+        got = horizon_errors(trace, horizon_s, method, step_s=step_s, min_windows=10, **kw)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"{method} {kw}")
+        t = float(trace.duration - horizon_s - 0.123)
+        np.testing.assert_allclose(
+            predict(trace, t, horizon_s, method, **kw),
+            _loop_predict(trace, t, horizon_s, method,
+                          kw.get("ma_windows", 4), kw.get("ar1_lambda", 0.5)),
+            rtol=1e-9, atol=0)
+
+
+def test_window_bits_matches_loop_on_arrays():
+    rng = np.random.default_rng(26)
+    trace = ThroughputTrace(0.1, rng.uniform(0.0, 1e6, 200))
+    starts = rng.uniform(0.0, trace.duration - 0.73, 500)
+    want = [_loop_window_bits(trace, float(t), 0.73) for t in starts]
+    np.testing.assert_allclose(window_bits(trace, starts, 0.73), want, rtol=1e-9, atol=0)
+    assert window_bits(trace, starts[:1], 0.73).shape == (1,)
+    assert isinstance(window_bits(trace, float(starts[0]), 0.73), float)
+
+
+@pytest.mark.parametrize("method", ["last_window", "moving_average", "ar1"])
+def test_constant_trace_zero_error_at_fractional_horizon(method):
+    # A constant rate makes every window of one length carry the same bits,
+    # so every predictor is exact up to float rounding of the overlaps.
+    rate = 2e6
+    trace = ThroughputTrace(0.1, np.full(500, rate * 0.1))
+    errs = horizon_errors(trace, 0.37, method, step_s=0.13, min_windows=100)
+    assert np.max(errs) <= 1e-12 * rate
+
+
+def test_prediction_checks_raise_configuration_error():
+    trace = ThroughputTrace(0.1, np.ones(100))
+    with pytest.raises(ConfigurationError, match="lambda"):
+        horizon_errors(trace, 0.5, "ar1", ar1_lambda=0.0, min_windows=1)
+    with pytest.raises(ConfigurationError, match="lambda"):
+        predict(trace, 5.0, 0.5, "ar1", ar1_lambda=1.5)
+    with pytest.raises(ConfigurationError, match="insufficient history"):
+        predict(trace, 0.3, 0.5, "ar1")
+    with pytest.raises(ConfigurationError, match="insufficient history"):
+        predict(trace, 0.3, 0.5, "last_window")
+    with pytest.raises(ConfigurationError, match="k >= 1"):
+        horizon_errors(trace, 0.5, "moving_average", ma_windows=0, min_windows=1)
+    with pytest.raises(ConfigurationError, match="horizon must be positive"):
+        horizon_errors(trace, 0.0)
+    with pytest.raises(ConfigurationError, match="window length must be positive"):
+        predict(trace, 5.0, -0.5)
+    with pytest.raises(ConfigurationError, match="outside the trace"):
+        window_bits(trace, np.array([1.0, 9.8]), 0.5)
+    with pytest.raises(ConfigurationError, match="unknown predictor"):
+        horizon_errors(trace, 0.5, "oracle", min_windows=1)
