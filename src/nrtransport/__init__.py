@@ -8,7 +8,6 @@ throughput-prediction error analysis. Everything is reproducible from a
 
 from .channel import (
     SPEED_OF_LIGHT,
-    BeamGrid,
     ChannelTaps,
     FreqResponse,
     MacroParams,
@@ -19,7 +18,6 @@ from .channel import (
     hst_taps,
     los_observation,
     macro_pathgain,
-    make_beam_grid,
 )
 from .config import RunConfig, load_config, parse_config
 from .errors import ConfigurationError, EstimationError, GeometryError, NumericalError
@@ -60,7 +58,6 @@ from .qos import (
 from .rng import substream
 from .runner import VERSION as __version__, RunManifest, run
 from .scenario import (
-    ArrayGeometry,
     Deployment,
     PoseSample,
     ScenarioKind,

@@ -1,18 +1,19 @@
-"""Propagation models: LoS mmWave geometry with DFT beam grids, Doppler-shifted
-tapped-delay-line channels for the rail link, and macro path gain with
-lognormal shadowing for the highway scheduler.
+"""Propagation models: LoS mmWave geometry, the Doppler-shifted
+tapped-delay-line channels of the rail link (one builder, ``tdl_taps``, over
+slots x sites x taps), and macro path gain with lognormal shadowing for the
+highway scheduler.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .scenario import ArrayGeometry, Site
+from .scenario import Site
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -51,72 +52,6 @@ def los_observation(site: Site, pose, carrier_hz: float) -> LosObservation:
     v = np.asarray(pose.velocity, dtype=float)
     doppler = float(v @ (-u_site_to_ue)) * carrier_hz / SPEED_OF_LIGHT
     return LosObservation(true_range=rng, true_aod=aod, true_aoa=aoa, doppler=doppler)
-
-
-# ---------------------------------------------------------------------------
-# Transmit beam grid
-
-
-@dataclass(frozen=True)
-class BeamGrid:
-    """DFT beams over a uniform rectangular array.
-
-    ``weights`` has shape (n_az * n_el, rows * cols); beams are indexed
-    row-major in (azimuth, elevation) spatial frequency. Each weight vector is
-    unit-norm, so the boresight array gain of an N-element array is N in power.
-    """
-
-    array: ArrayGeometry
-    n_az: int
-    n_el: int
-    weights: np.ndarray
-
-    @property
-    def azimuth_step_sine(self) -> float:
-        """Grid spacing in sine-of-azimuth space."""
-        return 1.0 / (self.n_az * self.array.element_spacing)
-
-
-def steering_vector(array: ArrayGeometry, az: float, el: float) -> np.ndarray:
-    """Unit-power steering vector; columns span azimuth (y), rows elevation (z)."""
-    u = math.sin(az) * math.cos(el)
-    v = math.sin(el)
-    n = np.arange(array.cols)
-    m = np.arange(array.rows)
-    phase = 2.0 * math.pi * array.element_spacing * (np.add.outer(m * v, n * u))
-    return np.exp(1j * phase).ravel()
-
-
-def make_beam_grid(array: ArrayGeometry, n_az: int, n_el: int) -> BeamGrid:
-    """Orthogonal DFT beam grid covering the visible sector."""
-    if n_az < 1 or n_el < 1:
-        raise ConfigurationError("beam grid needs at least one beam per axis")
-    # Spatial frequencies centered on boresight; u = f/d is the steered sine.
-    f_az = (np.arange(n_az) - n_az // 2) / n_az
-    f_el = (np.arange(n_el) - n_el // 2) / n_el
-    f_az = np.sort(f_az)
-    f_el = np.sort(f_el)
-    n = np.arange(array.cols)
-    m = np.arange(array.rows)
-    weights = np.empty((n_az * n_el, array.n_elements), dtype=complex)
-    idx = 0
-    norm = 1.0 / math.sqrt(array.n_elements)
-    for fa in f_az:
-        for fe in f_el:
-            phase = 2.0 * math.pi * (np.add.outer(m * fe, n * fa))
-            weights[idx] = norm * np.exp(1j * phase).ravel()
-            idx += 1
-    return BeamGrid(array=array, n_az=n_az, n_el=n_el, weights=weights)
-
-
-def beam_gains(grid: BeamGrid, az: float, el: float) -> np.ndarray:
-    """Array power gain of every beam toward (az, el)."""
-    a = steering_vector(grid.array, az, el)
-    return np.abs(grid.weights.conj() @ a) ** 2
-
-
-def best_beam_gain(grid: BeamGrid, az: float, el: float) -> float:
-    return float(np.max(beam_gains(grid, az, el)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +165,94 @@ def los_only_profile() -> TapProfile:
     )
 
 
+def _los_geometry(site_positions: np.ndarray, positions: np.ndarray):
+    """Per site: vehicle-minus-site vectors, LoS ranges, and unit vectors from
+    the vehicle toward the site."""
+    for site in site_positions:
+        delta = positions - site
+        dist = np.linalg.norm(delta, axis=1)
+        if np.any(dist == 0.0):
+            raise GeometryError("vehicle coincides with site")
+        yield delta, dist, -delta / dist[:, None]
+
+
+def _tap_azimuths(direction: np.ndarray, offsets_deg: np.ndarray) -> np.ndarray:
+    """Azimuth of each (sample, tap): the direction's azimuth rotated by the tap offset."""
+    return np.arctan2(direction[:, 1], direction[:, 0])[:, None] + np.radians(offsets_deg)[None, :]
+
+
+@dataclass(frozen=True)
+class TapArrays:
+    """Tapped-delay-line parameters of every (sample, site) link.
+
+    The tap arrays have shape (samples, sites, taps), taps in profile order.
+    Only the LoS phase is set; non-LoS phases are left at 0 for the caller to
+    draw. The tap angles are evaluated on access, so a sweep that never reads
+    them never holds them.
+    """
+
+    profile: TapProfile
+    site_positions: np.ndarray  # (sites, 3)
+    positions: np.ndarray  # (samples, 3)
+    delays: np.ndarray  # s
+    dopplers: np.ndarray  # Hz
+    amps: np.ndarray  # linear amplitude; squares sum to the link gain
+    phases: np.ndarray  # rad
+
+    @property
+    def aoa(self) -> np.ndarray:
+        """Arrival azimuths at the vehicle, rad."""
+        geometry = _los_geometry(self.site_positions, self.positions)
+        return np.stack([_tap_azimuths(u, self.profile.aoa_deg) for _, _, u in geometry], axis=1)
+
+    @property
+    def aod(self) -> np.ndarray:
+        """Departure azimuths at the site, rad."""
+        geometry = _los_geometry(self.site_positions, self.positions)
+        return np.stack([_tap_azimuths(d, self.profile.aod_deg) for d, _, _ in geometry], axis=1)
+
+
+def tdl_taps(
+    site_positions: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    profile: TapProfile,
+    carrier_hz: float,
+    link_gains: np.ndarray,
+) -> TapArrays:
+    """Tap delays, Dopplers, amplitudes, LoS phases and angles of every link.
+
+    ``site_positions`` has shape (sites, 3), ``positions`` and ``velocities``
+    (samples, 3), and ``link_gains`` (samples, sites) in linear power. Tap
+    magnitudes follow the profile exactly, so the tap powers of a link sum to
+    its gain. Each tap arrives from the LoS azimuth rotated by its profile
+    offset (horizontal propagation for late reflections), and its Doppler is
+    positive when the vehicle moves toward that incoming wavefront.
+    """
+    p_lin = 10.0 ** (profile.power_db / 10.0)
+    p_lin = p_lin / np.sum(p_lin)
+    los_idx = int(np.argmax(profile.los_flag))
+    shape = (len(positions), len(site_positions), len(profile))
+    out = TapArrays(
+        profile=profile, site_positions=site_positions, positions=positions,
+        delays=np.empty(shape), dopplers=np.empty(shape), amps=np.empty(shape), phases=np.zeros(shape),
+    )
+    for k, (_, dist, u_to_site) in enumerate(_los_geometry(site_positions, positions)):
+        tau_los = dist / SPEED_OF_LIGHT
+        los_dop = np.einsum("ij,ij->i", velocities, u_to_site) * carrier_hz / SPEED_OF_LIGHT
+        aoa = _tap_azimuths(u_to_site, profile.aoa_deg)
+        arrival = np.empty(aoa.shape + (2,))  # filled in place: no stacked temporaries
+        arrival[..., 0] = np.cos(aoa)
+        arrival[..., 1] = np.sin(aoa)
+        dop = np.einsum("stj,sj->st", arrival, velocities[:, :2]) * carrier_hz / SPEED_OF_LIGHT
+        dop[:, los_idx] = los_dop
+        out.delays[:, k, :] = tau_los[:, None] + profile.delay_ns[None, :] * 1e-9
+        out.dopplers[:, k, :] = dop
+        out.amps[:, k, :] = np.sqrt(p_lin[None, :] * link_gains[:, k][:, None])
+        out.phases[:, k, los_idx] = -2.0 * math.pi * carrier_hz * tau_los % (2.0 * math.pi)
+    return out
+
+
 def hst_taps(
     site: Site,
     pose,
@@ -243,34 +266,18 @@ def hst_taps(
 ) -> ChannelTaps:
     """Tapped-delay-line realization for one site/train link.
 
-    Tap magnitudes follow the profile exactly (so the realized power always
-    sums to ``link_power``); only non-LoS phases are random. Per-tap Doppler
-    comes from the tap's arrival direction relative to the train velocity.
+    One-link view of :func:`tdl_taps`: tap magnitudes follow the profile
+    exactly (so the realized power always sums to ``link_power``); only the
+    non-LoS phases are random, taken from ``nlos_phases`` or drawn from ``rng``.
     """
-    if len(profile) == 0:
-        raise ConfigurationError("tap profile is empty")
-    obs = los_observation(site, pose, carrier_hz)
-    los_az, _los_el = obs.true_aoa
-    v = np.asarray(pose.velocity, dtype=float)
-
-    p_lin = 10.0 ** (np.asarray(profile.power_db) / 10.0)
-    amps = np.sqrt(p_lin / np.sum(p_lin) * link_power)
-
-    tau_los = obs.true_range / SPEED_OF_LIGHT
-    delays = tau_los + np.asarray(profile.delay_ns) * 1e-9
-
-    # Arrival direction of each tap = LoS azimuth rotated by the tap offset
-    # (horizontal propagation for late reflections).
-    aoa = los_az + np.radians(np.asarray(profile.aoa_deg))
-    aod = np.array([obs.true_aod[0]] * len(profile)) + np.radians(np.asarray(profile.aod_deg))
-    arrival_dir = np.column_stack([np.cos(aoa), np.sin(aoa), np.zeros(len(profile))])
-    # Positive Doppler when moving toward the incoming wavefront.
-    dopplers = (arrival_dir @ v) * carrier_hz / SPEED_OF_LIGHT
-    los_idx = int(np.argmax(profile.los_flag))
-    dopplers[los_idx] = obs.doppler
-
-    phases = np.empty(len(profile))
-    phases[:] = 0.0
+    taps = tdl_taps(
+        site.position[None], np.asarray(pose.position, dtype=float)[None],
+        np.asarray(pose.velocity, dtype=float)[None], profile, carrier_hz,
+        np.array([[link_power]]),
+    )
+    delays, dopplers, amps, phases, aoa, aod = (
+        a[0, 0] for a in (taps.delays, taps.dopplers, taps.amps, taps.phases, taps.aoa, taps.aod)
+    )
     nlos = ~profile.los_flag.astype(bool)
     n_nlos = int(np.sum(nlos))
     if n_nlos:
@@ -280,7 +287,6 @@ def hst_taps(
             phases[nlos] = rng.uniform(0.0, 2.0 * math.pi, n_nlos)
         else:
             raise ConfigurationError("non-LoS taps need rng or nlos_phases")
-    phases[los_idx] = -2.0 * math.pi * carrier_hz * tau_los % (2.0 * math.pi)
     gains = amps * np.exp(1j * phases)
 
     order = np.argsort(delays, kind="stable")
@@ -421,21 +427,19 @@ def macro_pathgain(
 class SectorPattern:
     """Parabolic 3GPP-style element pattern with a side/back-lobe floor.
 
-    With ``bidirectional`` the site carries fore/aft panel pairs along the
-    boresight axis, as is common for track-side deployments: the azimuth
-    offset is folded into [0, 90 deg].
+    The site carries fore/aft panel pairs along the boresight axis, as is
+    common for track-side deployments: the azimuth offset is folded into
+    [0, 90 deg].
     """
 
     peak_gain_dbi: float = 20.5
     az_3db_deg: float = 65.0
     el_3db_deg: float = 15.0
     backoff_db: float = 25.0
-    bidirectional: bool = True
 
     def gain_db(self, az_off_rad, el_off_rad) -> np.ndarray:
         az = np.abs(np.asarray(az_off_rad, dtype=float))
-        if self.bidirectional:
-            az = np.minimum(az, math.pi - az)
+        az = np.minimum(az, math.pi - az)
         el = np.asarray(el_off_rad, dtype=float)
         a_az = np.minimum(12.0 * (np.degrees(az) / self.az_3db_deg) ** 2, self.backoff_db)
         a_el = np.minimum(12.0 * (np.degrees(el) / self.el_3db_deg) ** 2, self.backoff_db)

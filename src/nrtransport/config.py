@@ -21,10 +21,10 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class FieldSpec:
-    kind: str  # int | float | str | bool | float_list
+    kind: str  # int | float | str | float_list
     default: object = _REQUIRED
     choices: tuple | None = None
-    above: float | None = None  # exclusive lower bound of a number
+    above: float | None = None  # exclusive lower bound of a number or of each list element
 
 
 _COMMON = {
@@ -70,13 +70,13 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "speed_kmh": FieldSpec("float", 140.0),
     },
     "qos": {
-        "horizons_s": FieldSpec("float_list", (0.1, 1.0, 10.0)),
+        "horizons_s": FieldSpec("float_list", (0.1, 1.0, 10.0), above=0.0),
         "method": FieldSpec("str", "last_window", ("last_window", "moving_average", "ar1")),
         "trace_csv": FieldSpec("str", ""),
         "ma_windows": FieldSpec("int", 4),
         "ar1_lambda": FieldSpec("float", 0.5),
         "trace_repeats": FieldSpec("int", 20),
-        "trace_epoch_s": FieldSpec("float", 0.05),
+        "trace_epoch_s": FieldSpec("float", 0.05, above=0.0),
     },
 }
 
@@ -110,8 +110,6 @@ class RunConfig:
 def _format_value(value) -> str:
     if isinstance(value, (tuple, list)):
         return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -123,10 +121,6 @@ def _convert(key: str, raw: str, spec: FieldSpec, lineno: int):
             value = int(raw)
         elif spec.kind == "float":
             value = float(raw)
-        elif spec.kind == "bool":
-            if raw.lower() not in ("true", "false"):
-                raise ValueError(raw)
-            value = raw.lower() == "true"
         elif spec.kind == "float_list":
             value = tuple(float(part) for part in raw.split(",") if part.strip())
             if not value:
@@ -137,13 +131,12 @@ def _convert(key: str, raw: str, spec: FieldSpec, lineno: int):
         raise ConfigurationError(
             f"line {lineno}: key '{key}' expects {spec.kind}, got '{raw}'"
         ) from exc
-    if spec.kind in ("float", "float_list") and not all(
-        math.isfinite(v) for v in (value if spec.kind == "float_list" else (value,))
-    ):
+    items = value if spec.kind == "float_list" else (value,)
+    if spec.kind in ("float", "float_list") and not all(math.isfinite(v) for v in items):
         raise ConfigurationError(f"line {lineno}: key '{key}' must be finite, got '{raw}'")
     if spec.kind == "float_list" and len(set(value)) != len(value):
         raise ConfigurationError(f"line {lineno}: key '{key}' repeats a value: '{raw}'")
-    if spec.above is not None and not value > spec.above:
+    if spec.above is not None and not all(v > spec.above for v in items):
         raise ConfigurationError(f"line {lineno}: key '{key}' must be > {spec.above!r}, got '{raw}'")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(

@@ -6,12 +6,14 @@ diversity, SFN with genie Doppler precompensation, and dynamic point switching
 SINR -> exponential effective-SNR mapping per code block -> logistic block
 error curve, with Chase-combining HARQ modeled as linear SNR accumulation.
 
-The sweep is evaluated in fixed chunks of slots: per chunk, one batched
-frequency response (``channel.batched_freq_response``) gives the per-RE SINR
-of every slot, and the first attempt's ESM, BLER and pass/fail flags of every
-code block are computed at once. Only Chase-combining retransmissions, which
-depend on earlier outcomes, are evaluated slot by slot as the transport blocks
-are walked in order.
+The taps of every slot and TRP come from the one tapped-delay-line builder,
+``channel.tdl_taps``; the sweep adds only the non-LoS phases. The sweep is
+evaluated in fixed chunks of slots: per chunk, one batched frequency response
+(``channel.batched_freq_response``) gives the per-RE SINR of every slot, and
+the first attempt's ESM, BLER and pass/fail flags of every code block are
+computed at once. Only Chase-combining retransmissions, which depend on
+earlier outcomes, are evaluated slot by slot as the transport blocks are
+walked in order.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .channel import (
     TapProfile,
     batched_freq_response,
     default_rail_profile,
+    tdl_taps,
 )
 from .errors import ConfigurationError
 from .rng import substream
@@ -166,7 +169,6 @@ class HstLinkParams:
     overhead_symbols: int = 1
     codeblock_bits: int = 8448  # max code block size; sets TB segmentation
     subcarrier_step: int = 12  # SINR sampled once per RB in the sweep
-    estimation_penalty: bool = True  # see slot SINR model below
     pattern: SectorPattern = field(default_factory=SectorPattern)
     profile: TapProfile = field(default_factory=default_rail_profile)
 
@@ -198,67 +200,6 @@ def _link_gains_lin(deployment: Deployment, positions: np.ndarray, params: HstLi
     return out
 
 
-@dataclass
-class _SlotChannel:
-    """Per-slot tap parameters for every TRP, vectorized over the sweep."""
-
-    delays: np.ndarray  # (slots, trp, taps)
-    dopplers: np.ndarray
-    amps: np.ndarray
-    phases: np.ndarray
-    gains_lin: np.ndarray  # (slots, trp)
-    los_dopplers: np.ndarray  # (slots, trp)
-
-
-def _build_slot_channels(
-    deployment: Deployment,
-    trajectory: Trajectory,
-    params: HstLinkParams,
-    seed: int,
-    scheme: Scheme,
-) -> _SlotChannel:
-    n_slots = len(trajectory)
-    n_trp = len(deployment.sites)
-    profile = params.profile
-    n_taps = len(profile)
-    p_lin = 10.0 ** (profile.power_db / 10.0)
-    p_lin = p_lin / np.sum(p_lin)
-    los_idx = int(np.argmax(profile.los_flag))
-    nlos = ~profile.los_flag.astype(bool)
-
-    gains_lin = _link_gains_lin(deployment, trajectory.position, params)
-
-    delays = np.empty((n_slots, n_trp, n_taps))
-    dopplers = np.empty((n_slots, n_trp, n_taps))
-    amps = np.empty((n_slots, n_trp, n_taps))
-    phases = np.zeros((n_slots, n_trp, n_taps))
-    v = trajectory.velocity  # (slots, 3)
-    for k, site in enumerate(deployment.sites):
-        delta = trajectory.position - site.position
-        dist = np.linalg.norm(delta, axis=1)
-        tau_los = dist / SPEED_OF_LIGHT
-        u_to_site = -delta / dist[:, None]
-        los_dop = np.einsum("ij,ij->i", v, u_to_site) * params.carrier_hz / SPEED_OF_LIGHT
-        los_az = np.arctan2(u_to_site[:, 1], u_to_site[:, 0])
-        aoa = los_az[:, None] + np.radians(profile.aoa_deg)[None, :]
-        arrival = np.stack([np.cos(aoa), np.sin(aoa)], axis=-1)
-        dop = np.einsum("stj,sj->st", arrival, v[:, :2]) * params.carrier_hz / SPEED_OF_LIGHT
-        dop[:, los_idx] = los_dop
-        delays[:, k, :] = tau_los[:, None] + profile.delay_ns[None, :] * 1e-9
-        dopplers[:, k, :] = dop
-        amps[:, k, :] = np.sqrt(p_lin[None, :] * gains_lin[:, k][:, None])
-        phases[:, k, los_idx] = -2.0 * math.pi * params.carrier_hz * tau_los % (2.0 * math.pi)
-        if np.any(nlos):
-            rng = substream(seed, "hst", scheme.value, "phase", k)
-            phases[:, k, nlos] = rng.uniform(0.0, 2.0 * math.pi, (n_slots, int(np.sum(nlos))))
-
-    los_dopplers = dopplers[:, :, los_idx]
-    return _SlotChannel(
-        delays=delays, dopplers=dopplers, amps=amps, phases=phases,
-        gains_lin=gains_lin, los_dopplers=los_dopplers,
-    )
-
-
 def _codeblock_slices(n_data_symbols: int, n_codeblocks: int) -> list[slice]:
     bounds = np.linspace(0, n_data_symbols, n_codeblocks + 1).round().astype(int)
     return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -286,11 +227,21 @@ def run_hst_sweep(
     if abs(trajectory.sample_period - numerology.slot_duration) > 1e-12:
         raise ConfigurationError("trajectory sample period must equal the slot duration")
 
-    ch = _build_slot_channels(deployment, trajectory, params, seed, scheme)
+    gains_lin = _link_gains_lin(deployment, trajectory.position, params)
+    ch = tdl_taps(
+        deployment.site_positions(), trajectory.position, trajectory.velocity,
+        params.profile, params.carrier_hz, gains_lin,
+    )
     n_slots, n_trp, _ = ch.delays.shape
+    nlos = ~params.profile.los_flag.astype(bool)
+    if np.any(nlos):
+        for k in range(n_trp):
+            rng = substream(seed, "hst", scheme.value, "phase", k)
+            ch.phases[:, k, nlos] = rng.uniform(0.0, 2.0 * math.pi, (n_slots, int(np.sum(nlos))))
+    los_dopplers = ch.dopplers[:, :, int(np.argmax(params.profile.los_flag))]
 
     # Noise power from the SNR anchor: SFN-combined power at x = 0.
-    noise = float(np.sum(ch.gains_lin[0])) / 10.0 ** (params.anchor_snr_db / 10.0)
+    noise = float(np.sum(gains_lin[0])) / 10.0 ** (params.anchor_snr_db / 10.0)
 
     tbs = transport_block_size(numerology, mcs, params.overhead_symbols)
     n_data_symbols = numerology.symbols_per_slot - params.overhead_symbols
@@ -299,7 +250,7 @@ def run_hst_sweep(
 
     sym_t_rel = (np.arange(n_data_symbols) + 0.5) * numerology.symbol_duration
     freqs = numerology.subcarrier_freqs(params.subcarrier_step)
-    best_trp = np.argmax(ch.gains_lin, axis=1)[:, None, None]
+    best_trp = np.argmax(gains_lin, axis=1)[:, None, None]
 
     cdd = np.zeros(n_trp)
     if scheme is Scheme.SFN_CDD:
@@ -315,7 +266,7 @@ def run_hst_sweep(
     # shifts beating against each other) becomes residual estimation error
     # that adds to the noise. This is what separates plain SFN from the
     # Doppler-managed schemes.
-    shared_rs = params.estimation_penalty and scheme is not Scheme.SFN_CDD
+    shared_rs = scheme is not Scheme.SFN_CDD
     tt = sym_t_rel - np.mean(sym_t_rel)
     basis = np.column_stack([np.ones(n_data_symbols), tt])
     resid_proj = np.eye(n_data_symbols) - basis @ np.linalg.pinv(basis)
@@ -327,7 +278,7 @@ def run_hst_sweep(
             taps = [np.take_along_axis(a, best_trp[lo:hi], axis=1) for a in taps]
         amps, phases, delays, dopplers = taps
         if scheme is Scheme.SFN_PRECOMP:
-            dopplers = dopplers - ch.los_dopplers[lo:hi, :, None]
+            dopplers = dopplers - los_dopplers[lo:hi, :, None]
         if scheme is Scheme.SFN_CDD:
             delays = delays + cdd[:, None]
         t_abs = trajectory.t[lo:hi, None] + sym_t_rel

@@ -370,17 +370,3 @@ def error_cdf(estimates: list[StateEstimate], trajectory: Trajectory) -> ErrorCd
         errors.append(float(np.linalg.norm(est.mean[:2] - truth)))
     return empirical_cdf(errors)
 
-
-def positions_error_cdf(positions: list[np.ndarray | None], times, trajectory: Trajectory):
-    """CDF for raw position fixes; ``None`` entries (failed solves) are counted
-    separately and excluded."""
-    t_by_index = {round(float(t), 9): i for i, t in enumerate(trajectory.t)}
-    errors = []
-    n_failed = 0
-    for pos, t in zip(positions, times):
-        if pos is None:
-            n_failed += 1
-            continue
-        truth = trajectory.position[t_by_index[round(float(t), 9)]][:2]
-        errors.append(float(np.linalg.norm(np.asarray(pos) - truth)))
-    return empirical_cdf(errors), n_failed

@@ -278,8 +278,11 @@ def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qo
     """
     if repeats < 1 or epoch_s <= 0:
         raise ConfigurationError("invalid trace parameters")
-    deployment = build_rail_deployment(700.0, 10.0)
     numerology = hst.Numerology()
+    per_epoch = int(round(epoch_s / numerology.slot_duration))
+    if per_epoch < 1 or abs(per_epoch * numerology.slot_duration - epoch_s) > 1e-12:
+        raise ConfigurationError("trace epoch must be a multiple of the slot duration")
+    deployment = build_rail_deployment(700.0, 10.0)
     trajectory = linear_trajectory(500.0, 2100.0, numerology.slot_duration)
     results = hst.run_hst_sweep(
         deployment, trajectory, hst.Scheme.SFN, numerology, hst.Mcs(), seed, hst.HstLinkParams()
@@ -287,9 +290,6 @@ def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qo
     bits_per_slot = np.zeros(len(trajectory))
     for r in results:
         bits_per_slot[r.slot_index + r.harq_attempts_used - 1] += r.delivered_bits
-    per_epoch = int(round(epoch_s / numerology.slot_duration))
-    if per_epoch < 1 or abs(per_epoch * numerology.slot_duration - epoch_s) > 1e-12:
-        raise ConfigurationError("trace epoch must be a multiple of the slot duration")
     n_epochs = len(bits_per_slot) // per_epoch
     epochs = bits_per_slot[: n_epochs * per_epoch].reshape(n_epochs, per_epoch).sum(axis=1)
     return qos.ThroughputTrace(

@@ -7,7 +7,7 @@ right-handed frame with x along the road/track, y lateral, z up (meters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,25 +24,6 @@ class ScenarioKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform rectangular antenna array, element spacing in wavelengths."""
-
-    rows: int
-    cols: int
-    element_spacing: float = 0.5
-
-    def __post_init__(self):
-        if self.rows * self.cols < 1:
-            raise ConfigurationError("antenna array needs at least one element")
-        if self.element_spacing <= 0:
-            raise ConfigurationError("element spacing must be positive")
-
-    @property
-    def n_elements(self) -> int:
-        return self.rows * self.cols
-
-
-@dataclass(frozen=True)
 class Site:
     """One fixed radio site."""
 
@@ -50,7 +31,6 @@ class Site:
     position: np.ndarray  # 3-vector, m
     boresight_azimuth: float = 0.0  # rad, 0 = +x
     downtilt: float = 0.0  # rad, in [0, pi/2)
-    antenna: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(1, 1))
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
@@ -144,7 +124,6 @@ def build_linear_deployment(
     span: float,
     kind: ScenarioKind | str,
     *,
-    antenna: ArrayGeometry | None = None,
     boresight_azimuth: float = 0.0,
     downtilt: float = 0.0,
 ) -> Deployment:
@@ -157,7 +136,6 @@ def build_linear_deployment(
     if span < isd:
         raise ConfigurationError("span must be at least one inter-site distance")
     kind = ScenarioKind(kind)
-    antenna = antenna or ArrayGeometry(1, 1)
     n_sites = int(math.floor(span / isd + 1e-9)) + 1
     sites = tuple(
         Site(
@@ -165,7 +143,6 @@ def build_linear_deployment(
             position=np.array([i * isd, lateral_offset, site_height]),
             boresight_azimuth=boresight_azimuth,
             downtilt=downtilt,
-            antenna=antenna,
         )
         for i in range(n_sites)
     )
@@ -177,12 +154,7 @@ RAIL_DOWNTILT_RAD = math.radians(10.0)
 RAIL_N_SITES = 4
 
 
-def build_rail_deployment(
-    isd: float,
-    offset: float,
-    *,
-    antenna: ArrayGeometry | None = None,
-) -> Deployment:
+def build_rail_deployment(isd: float, offset: float) -> Deployment:
     """Four track-side sites at 35 m height with 10 degrees downtilt.
 
     Panels face along the track (boresight +x); the antenna gain model in the
@@ -190,14 +162,12 @@ def build_rail_deployment(
     """
     if isd <= 0:
         raise ConfigurationError("isd must be positive")
-    antenna = antenna or ArrayGeometry(8, 4)
     sites = tuple(
         Site(
             id=i,
             position=np.array([i * isd, offset, RAIL_SITE_HEIGHT_M]),
             boresight_azimuth=0.0,
             downtilt=RAIL_DOWNTILT_RAD,
-            antenna=antenna,
         )
         for i in range(RAIL_N_SITES)
     )

@@ -75,13 +75,6 @@ class UserRecord:
     exit_t: float | None = None  # censoring time when the run ends first
     current_gain_db: float = 0.0
 
-    def position_x(self, t: float, half_span: float) -> float:
-        # Wrap around the segment: driving past the edge re-enters at the
-        # other side (equivalently, the vehicle reaches the next site).
-        x = self.entry_x + self.direction * self.speed * (t - self.arrival_t)
-        span = 2.0 * half_span
-        return (x + half_span) % span - half_span
-
     @property
     def time_in_system(self) -> float:
         end = self.completion_t if self.completion_t is not None else self.exit_t
@@ -94,23 +87,34 @@ class UserRecord:
         return self.served_bits / self.time_in_system
 
 
-def classify_users(users: list[UserRecord], policy: DropPolicy):
-    """Partition users into (eligible, deferred) by current path gain.
+def deferred_mask(gains: np.ndarray, ids: np.ndarray, policy: DropPolicy) -> np.ndarray:
+    """Which users the policy defers, given their path gains (dB) and ids.
 
-    Quantile mode defers the floor(rho * n) users with the lowest gain; ties
-    break by user id so the partition is deterministic.
+    Absolute mode defers every gain below the threshold. Quantile mode defers
+    the floor(rho * n) users with the lowest gain; ties break by user id so
+    the partition is deterministic.
     """
+    if policy.threshold_mode == "absolute_db":
+        return gains < policy.threshold_db
+    deferred = np.zeros(len(gains), dtype=bool)
+    n_defer = int(math.floor(policy.drop_fraction * len(gains)))
+    if n_defer:
+        deferred[np.lexsort((ids, gains))[:n_defer]] = True  # lowest gain first, ties by id
+    return deferred
+
+
+def classify_users(users: list[UserRecord], policy: DropPolicy):
+    """Partition users into (eligible, deferred) by current path gain, each in
+    the order given (see :func:`deferred_mask`)."""
     if not users:
         raise ConfigurationError("no users to classify")
-    if policy.threshold_mode == "absolute_db":
-        eligible = [u for u in users if u.current_gain_db >= policy.threshold_db]
-        deferred = [u for u in users if u.current_gain_db < policy.threshold_db]
-        return eligible, deferred
-    n_defer = int(math.floor(policy.drop_fraction * len(users)))
-    ranked = sorted(users, key=lambda u: (u.current_gain_db, u.id))
-    deferred = ranked[:n_defer]
-    eligible = ranked[n_defer:]
-    return eligible, deferred
+    deferred = deferred_mask(
+        np.array([u.current_gain_db for u in users]), np.array([u.id for u in users]), policy
+    )
+    return (
+        [u for u, d in zip(users, deferred) if not d],
+        [u for u, d in zip(users, deferred) if d],
+    )
 
 
 @dataclass
@@ -144,9 +148,9 @@ def simulate_cell(
     """Event loop over TDM slots for one cell (the first deployed site).
 
     State is kept in parallel column arrays; the per-slot work (positions,
-    gains, quantile partition, round-robin pick) is vectorized over the
-    users currently in the system. The partition matches classify_users:
-    the floor(rho * n) lowest-gain users are deferred, ties broken by id.
+    gains, drop-policy partition, round-robin pick) is vectorized over the
+    users currently in the system; the partition is deferred_mask, as in
+    classify_users.
 
     ``initial_users`` places deterministic users at t = 0 in addition to the
     Poisson arrivals; each entry is (entry_x_m, direction, shadow_db,
@@ -215,15 +219,7 @@ def simulate_cell(
         gains = -params.pathloss.pathloss_db(np.hypot(d2d, site.position[1])) + shadow[idx]
         last_gain[idx] = gains
 
-        if policy.threshold_mode == "absolute_db":
-            elig_mask = gains >= policy.threshold_db
-        else:
-            n_defer = int(math.floor(policy.drop_fraction * len(idx)))
-            elig_mask = np.ones(len(idx), dtype=bool)
-            if n_defer:
-                order = np.lexsort((idx, gains))  # lowest gain first, ties by id
-                elig_mask[order[:n_defer]] = False
-        elig_idx = idx[elig_mask]
+        elig_idx = idx[~deferred_mask(gains, idx, policy)]
         newly = elig_idx[~admitted[elig_idx]]
         admitted[newly] = True
         first_admitted_t[newly] = t

@@ -1,4 +1,4 @@
-"""Propagation models: LoS geometry, beam grids, tap lines, macro path gain."""
+"""Propagation models: LoS geometry, tap lines, macro path gain."""
 
 import math
 
@@ -6,24 +6,27 @@ import numpy as np
 import pytest
 
 from nrtransport import (
-    ArrayGeometry,
+    HstLinkParams,
     MacroParams,
+    Mcs,
+    Numerology,
     SPEED_OF_LIGHT,
+    Scheme,
     Site,
+    build_rail_deployment,
     combined_freq_response,
     default_rail_profile,
+    hst,
     hst_taps,
+    linear_trajectory,
     los_observation,
     macro_pathgain,
-    make_beam_grid,
 )
 from nrtransport.channel import (
     ChannelTaps,
     TapProfile,
-    beam_gains,
-    best_beam_gain,
     los_only_profile,
-    steering_vector,
+    tdl_taps,
 )
 from nrtransport.errors import ConfigurationError, GeometryError
 from nrtransport.rng import substream
@@ -68,42 +71,6 @@ def test_coincident_site_and_vehicle_rejected():
     site = Site(id=0, position=np.array([0.0, 0.0, 1.5]))
     with pytest.raises(GeometryError):
         los_observation(site, _pose([0, 0, 1.5], [1, 0, 0]), 2e9)
-
-
-def test_boresight_array_gain_256_elements():
-    grid = make_beam_grid(ArrayGeometry(16, 16), 16, 16)
-    gain = best_beam_gain(grid, 0.0, 0.0)
-    assert abs(gain - 256.0) < 1e-9
-    assert abs(10 * math.log10(gain) - 24.082) < 1e-2
-
-
-def test_single_element_grid_gain_one():
-    grid = make_beam_grid(ArrayGeometry(1, 1), 1, 1)
-    assert abs(best_beam_gain(grid, 0.3, -0.1) - 1.0) < 1e-12
-
-
-def test_beam_grid_scalloping_bound():
-    # Steering exactly between two adjacent grid beams: the loss relative to
-    # peak gain stays within the uniform-array scalloping bound of 3.92 dB.
-    array = ArrayGeometry(16, 16)
-    grid = make_beam_grid(array, 16, 16)
-    step_u = grid.azimuth_step_sine
-    az = math.asin(step_u / 2.0)
-    gain = best_beam_gain(grid, az, 0.0)
-    loss_db = 10 * math.log10(256.0 / gain)
-    assert loss_db <= 3.92 + 1e-6
-
-
-def test_beam_weights_unit_norm():
-    grid = make_beam_grid(ArrayGeometry(4, 8), 8, 4)
-    norms = np.linalg.norm(grid.weights, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert len(beam_gains(grid, 0.1, 0.0)) == 32
-
-
-def test_steering_vector_phase_reference():
-    a = steering_vector(ArrayGeometry(2, 2), 0.0, 0.0)
-    assert np.allclose(a, 1.0)
 
 
 def test_tap_power_normalization():
@@ -154,6 +121,50 @@ def test_profile_statistics_match_table():
     k_db = 10 * math.log10(np.mean(k_lin))
     assert abs(k_db - profile.k_factor_db) / abs(profile.k_factor_db) < 0.05
     assert abs(np.mean(ds) - profile.rms_delay_spread_ns) / profile.rms_delay_spread_ns < 0.05
+
+
+def test_hst_taps_is_one_link_of_the_sweep_builder(monkeypatch):
+    # Capture the tap arrays the rail sweep builds; it writes its non-LoS
+    # phases into them in place.
+    built = []
+
+    def capture(*args):
+        built.append(tdl_taps(*args))
+        return built[-1]
+
+    monkeypatch.setattr(hst, "tdl_taps", capture)
+    deployment = build_rail_deployment(700.0, 10.0)
+    numerology = Numerology()
+    trajectory = linear_trajectory(500.0, 40.0, numerology.slot_duration)
+    params = HstLinkParams()
+    hst.run_hst_sweep(deployment, trajectory, Scheme.SFN, numerology, Mcs(), 5, params)
+    (sweep,) = built
+    gains_lin = hst._link_gains_lin(deployment, trajectory.position, params)
+    nlos = ~params.profile.los_flag.astype(bool)
+    for s in (0, 57, len(trajectory) - 1):
+        for k in (0, 1, 3):
+            taps = hst_taps(
+                deployment.sites[k], trajectory.sample(s), params.profile, trajectory.t[s],
+                carrier_hz=params.carrier_hz, link_power=gains_lin[s, k],
+                nlos_phases=sweep.phases[s, k, nlos],
+            )
+            assert np.array_equal(taps.delays, sweep.delays[s, k])
+            assert np.array_equal(taps.dopplers, sweep.dopplers[s, k])
+            assert np.array_equal(taps.aoa, sweep.aoa[s, k])
+            want = sweep.amps[s, k] * np.exp(1j * sweep.phases[s, k])
+            assert np.max(np.abs(taps.gains - want)) < 1e-12
+
+
+def test_tap_builder_rejects_vehicle_at_site():
+    sites = np.array([[0.0, 10.0, 35.0], [700.0, 10.0, 35.0]])
+    positions = np.array([[100.0, 0.0, 1.5], [700.0, 10.0, 35.0]])
+    with pytest.raises(GeometryError):
+        tdl_taps(sites, positions, np.zeros((2, 3)), default_rail_profile(), 2e9, np.ones((2, 2)))
+    with pytest.raises(GeometryError):
+        hst_taps(
+            Site(id=1, position=sites[1]), _pose(sites[1], [1.0, 0, 0]), default_rail_profile(),
+            0.0, carrier_hz=2e9, rng=substream(1, "t"),
+        )
 
 
 def test_tap_table_round_trip_and_errors():

@@ -201,6 +201,29 @@ def test_cli_rejects_zero_bin_size(tmp_path, capsys):
         assert not (tmp_path / "out" / "hst.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[qos]\ntrace_epoch_s = 0.0007\n", "trace epoch must be a multiple of the slot duration"),
+    ("[qos]\nhorizons_s = 0.1, -1\n", "line 2: key 'horizons_s' must be > 0.0, got '0.1, -1'"),
+], ids=["off_grid_epoch", "negative_horizon"])
+def test_cli_rejects_qos_values_before_the_trace_sweep(tmp_path, capsys, monkeypatch, text, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the rail sweep ran before the config was checked")
+
+    monkeypatch.setattr(runner.hst, "run_hst_sweep", no_sweep)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_float_list_bound_applies_to_each_value():
+    with pytest.raises(ConfigurationError, match="line 2: key 'horizons_s' must be > 0.0"):
+        parse_config("[qos]\nhorizons_s = 1, 0\n")
+    assert parse_config("[qos]\nhorizons_s = 0.5, 2\n").params["horizons_s"] == (0.5, 2.0)
+
+
 @pytest.mark.parametrize("study,key,values", [
     ("qos", "horizons_s", "0.1, 0.1"),
     ("positioning", "snr_db", "5, 15, 5.0"),
