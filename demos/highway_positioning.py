@@ -16,12 +16,13 @@ from nrtransport import (
     ekf_fuse,
     empirical_cdf,
     error_cdf,
+    horizontal_errors,
     initial_state_from_frame,
-    nr_only_position,
+    nr_only_positions,
     simulate_measurements,
     snake_trajectory,
 )
-from nrtransport.positioning import EstimationError
+from nrtransport.scenario import KMH
 
 SPAN_M = 2000.0
 DT_S = 0.01
@@ -41,18 +42,12 @@ def main():
         frames = simulate_measurements(
             deployment, trajectory, snr_db, 2, seed=1, decimation=10
         )
-        initial = initial_state_from_frame(frames[0], params, speed_along_road=130 / 3.6)
+        initial = initial_state_from_frame(frames[0], params, speed_along_road=130 * KMH)
         fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
 
-        radio_errs = []
-        for frame in frames:
-            truth = trajectory.position[int(round(frame.t / DT_S))][:2]
-            try:
-                xy = nr_only_position(frame, params)
-            except EstimationError:
-                continue
-            radio_errs.append(float(np.hypot(xy[0] - truth[0], xy[1] - truth[1])))
-        radio = empirical_cdf(radio_errs)
+        t = np.array([frame.t for frame in frames])
+        radio_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
+        radio = empirical_cdf(radio_errs[~np.isnan(radio_errs)])  # NaN: failed solve
 
         print(f"{snr_db:>4.0f}dB "
               f"{fused.quantile(0.5):>9.3f}m {fused.quantile(0.9):>9.3f}m "

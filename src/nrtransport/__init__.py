@@ -42,12 +42,13 @@ from .positioning import (
     ekf_fuse,
     empirical_cdf,
     error_cdf,
+    horizontal_errors,
     initial_state_from_frame,
     nr_only_position,
+    nr_only_positions,
     simulate_measurements,
 )
 from .qos import (
-    PredictionRecord,
     ThroughputTrace,
     horizon_cdfs,
     horizon_errors,
@@ -73,7 +74,6 @@ from .scheduler import (
     DropPolicy,
     TrafficConfig,
     UserRecord,
-    classify_users,
     density_sweep,
     file_transfer_report,
     mean_user_throughput,

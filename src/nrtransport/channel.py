@@ -67,7 +67,6 @@ class ChannelTaps:
     gains: np.ndarray  # complex
     aod: np.ndarray  # rad (azimuth offsets)
     aoa: np.ndarray  # rad
-    reference_time: float = 0.0
 
     def __post_init__(self):
         d = np.asarray(self.delays, dtype=float)
@@ -257,7 +256,6 @@ def hst_taps(
     site: Site,
     pose,
     profile: TapProfile,
-    t: float,
     *,
     carrier_hz: float,
     link_power: float = 1.0,
@@ -296,7 +294,6 @@ def hst_taps(
         gains=gains[order],
         aod=aod[order],
         aoa=aoa[order],
-        reference_time=t,
     )
 
 
@@ -307,8 +304,6 @@ def hst_taps(
 @dataclass(frozen=True)
 class FreqResponse:
     h: np.ndarray  # complex, (n_symbols, n_subcarriers)
-    symbol_times: np.ndarray  # s
-    subcarrier_freqs: np.ndarray  # Hz (baseband)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.h.real)) or not np.all(np.isfinite(self.h.imag)):
@@ -375,7 +370,7 @@ def combined_freq_response(
         t[None, :],
         f,
     )
-    return FreqResponse(h=h[0], symbol_times=t, subcarrier_freqs=f)
+    return FreqResponse(h=h[0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +390,15 @@ class MacroParams:
         return self.intercept_db + 10.0 * self.exponent * np.log10(d_km)
 
 
-def macro_pathgain(
-    site: Site,
-    position,
-    params: MacroParams,
-    rng: np.random.Generator | None = None,
-    shadow_db: float | None = None,
-) -> float:
-    """Path gain in dB (negative), optionally with lognormal shadowing.
+def macro_pathgain(site: Site, x, params: MacroParams, shadow_db) -> np.ndarray:
+    """Path gain in dB (negative) of road positions ``x`` (m, any shape), plus
+    the per-user lognormal shadowing ``shadow_db``.
 
-    Pass ``shadow_db`` to reuse a per-user shadowing draw, or ``rng`` to draw
-    a fresh one; omit both for the deterministic curve.
+    Vehicles drive on the road axis y = 0; the horizontal offset to the site
+    is floored at 1 m so a vehicle passing under the mast keeps a finite gain.
     """
-    pos = np.asarray(position, dtype=float)
-    d2d = float(np.hypot(pos[0] - site.position[0], pos[1] - site.position[1]))
-    if d2d <= 0.0:
-        raise GeometryError("2D distance to site is zero")
-    gain = -float(params.pathloss_db(d2d))
-    if shadow_db is not None:
-        gain += float(shadow_db)
-    elif rng is not None and params.shadow_sigma_db > 0:
-        gain += float(rng.normal(0.0, params.shadow_sigma_db))
-    return gain
+    d2d = np.maximum(np.abs(x - site.position[0]), 1.0)
+    return -params.pathloss_db(np.hypot(d2d, site.position[1])) + shadow_db
 
 
 # ---------------------------------------------------------------------------

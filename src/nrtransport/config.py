@@ -25,6 +25,7 @@ class FieldSpec:
     default: object = _REQUIRED
     choices: tuple | None = None
     above: float | None = None  # exclusive lower bound of a number or of each list element
+    at_most: float | None = None  # inclusive upper bound, likewise
 
 
 _COMMON = {
@@ -73,8 +74,8 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "horizons_s": FieldSpec("float_list", (0.1, 1.0, 10.0), above=0.0),
         "method": FieldSpec("str", "last_window", ("last_window", "moving_average", "ar1")),
         "trace_csv": FieldSpec("str", ""),
-        "ma_windows": FieldSpec("int", 4),
-        "ar1_lambda": FieldSpec("float", 0.5),
+        "ma_windows": FieldSpec("int", 4, above=0),
+        "ar1_lambda": FieldSpec("float", 0.5, above=0.0, at_most=1.0),
         "trace_repeats": FieldSpec("int", 20),
         "trace_epoch_s": FieldSpec("float", 0.05, above=0.0),
     },
@@ -138,6 +139,8 @@ def _convert(key: str, raw: str, spec: FieldSpec, lineno: int):
         raise ConfigurationError(f"line {lineno}: key '{key}' repeats a value: '{raw}'")
     if spec.above is not None and not all(v > spec.above for v in items):
         raise ConfigurationError(f"line {lineno}: key '{key}' must be > {spec.above!r}, got '{raw}'")
+    if spec.at_most is not None and not all(v <= spec.at_most for v in items):
+        raise ConfigurationError(f"line {lineno}: key '{key}' must be <= {spec.at_most!r}, got '{raw}'")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(
             f"line {lineno}: key '{key}' must be one of {spec.choices}, got '{value}'"

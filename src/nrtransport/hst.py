@@ -65,9 +65,6 @@ class Numerology:
     def symbol_duration(self) -> float:
         return self.slot_duration / self.symbols_per_slot
 
-    def symbol_times(self, slot_start: float = 0.0) -> np.ndarray:
-        return slot_start + (np.arange(self.symbols_per_slot) + 0.5) * self.symbol_duration
-
     def subcarrier_freqs(self, step: int = 1) -> np.ndarray:
         return np.arange(0, self.n_subcarriers, step) * self.scs_hz
 

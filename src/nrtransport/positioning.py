@@ -322,6 +322,19 @@ def nr_only_position(
     return xy
 
 
+def nr_only_positions(frames: list[MeasurementFrame], params: EkfParams) -> np.ndarray:
+    """Radio-only position of every frame, shape (frames, 2), from
+    :func:`nr_only_position`; the row of a frame whose solve raises
+    ``EstimationError`` is NaN."""
+    xy = np.full((len(frames), 2), np.nan)
+    for i, frame in enumerate(frames):
+        try:
+            xy[i] = nr_only_position(frame, params)
+        except EstimationError:
+            pass
+    return xy
+
+
 # ---------------------------------------------------------------------------
 # Error CDFs
 
@@ -352,21 +365,22 @@ def empirical_cdf(errors) -> ErrorCdf:
     e = np.sort(np.asarray(errors, dtype=float))
     if len(e) == 0:
         raise ConfigurationError("no errors to summarize")
+    if np.isnan(e[-1]):  # sorting puts NaN last
+        raise ConfigurationError("errors to summarize contain NaN")
     p = np.arange(1, len(e) + 1, dtype=float) / len(e)
     return ErrorCdf(errors=e, probabilities=p)
 
 
+def horizontal_errors(xy: np.ndarray, t: np.ndarray, trajectory: Trajectory) -> np.ndarray:
+    """Horizontal distance (m) of each position ``xy`` (n, 2) from the
+    trajectory sample at its time ``t`` (n,); a NaN position gives NaN."""
+    truth = trajectory.position[trajectory.index_at(t)]
+    return np.hypot(xy[:, 0] - truth[:, 0], xy[:, 1] - truth[:, 1])
+
+
 def error_cdf(estimates: list[StateEstimate], trajectory: Trajectory) -> ErrorCdf:
-    """Horizontal-error CDF against the matching trajectory epochs."""
+    """Horizontal-error CDF of filter estimates against the trajectory."""
     if not estimates:
         raise ConfigurationError("no estimates")
-    t_by_index = {round(float(t), 9): i for i, t in enumerate(trajectory.t)}
-    errors = []
-    for est in estimates:
-        idx = t_by_index.get(round(est.t, 9))
-        if idx is None:
-            raise ConfigurationError(f"estimate at t={est.t} has no matching trajectory sample")
-        truth = trajectory.position[idx][:2]
-        errors.append(float(np.linalg.norm(est.mean[:2] - truth)))
-    return empirical_cdf(errors)
-
+    xy = np.array([est.mean[:2] for est in estimates])
+    return empirical_cdf(horizontal_errors(xy, np.array([est.t for est in estimates]), trajectory))

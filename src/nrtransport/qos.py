@@ -37,7 +37,6 @@ class ThroughputTrace:
 
     epoch_s: float
     delivered_bits: np.ndarray
-    metadata: dict | None = None
     cumulative_bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,20 +80,6 @@ class ThroughputTrace:
                 fh.write(f"{self.epoch_s!r},{int(b)}\n")
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    t: float
-    horizon_s: float
-    b_predicted: float
-    b_delivered: float
-
-    def __post_init__(self):
-        if self.horizon_s <= 0:
-            raise ConfigurationError("horizon must be positive")
-        if self.b_predicted < 0 or self.b_delivered < 0:
-            raise ConfigurationError("bit counts must be non-negative")
-
-
 def window_bits(trace: ThroughputTrace, t, dt: float):
     """Bits delivered in [t, t + dt]: the cumulative curve at t + dt minus at t.
 
@@ -120,9 +105,16 @@ def window_bits(trace: ThroughputTrace, t, dt: float):
     return float(total) if total.ndim == 0 else total
 
 
-def prediction_error(record: PredictionRecord) -> float:
-    """|delivered - predicted| / horizon, in bits per second."""
-    return abs(record.b_delivered - record.b_predicted) / record.horizon_s
+def prediction_error(b_delivered, b_predicted, horizon_s: float):
+    """e' = |delivered - predicted| / horizon in bits per second, elementwise
+    over bit counts of one horizon."""
+    if not horizon_s > 0:
+        raise ConfigurationError("horizon must be positive")
+    delivered = np.asarray(b_delivered, dtype=float)
+    predicted = np.asarray(b_predicted, dtype=float)
+    if np.any(delivered < 0) or np.any(predicted < 0):
+        raise ConfigurationError("bit counts must be non-negative")
+    return np.abs(delivered - predicted) / horizon_s
 
 
 PREDICTORS = ("last_window", "moving_average", "ar1")
@@ -221,10 +213,7 @@ def horizon_errors(
             f"only {len(starts)} evaluable windows at horizon {horizon_s}s; need {min_windows}"
         )
     predicted = _predictions(trace, starts, horizon_s, method, ma_windows, ar1_lambda)
-    delivered = window_bits(trace, starts, horizon_s)
-    if np.any(predicted < 0) or np.any(delivered < 0):
-        raise ConfigurationError("bit counts must be non-negative")
-    return np.abs(delivered - predicted) / horizon_s
+    return prediction_error(window_bits(trace, starts, horizon_s), predicted, horizon_s)
 
 
 def horizon_cdfs(

@@ -123,12 +123,13 @@ def _svg(spec: StudySpec, rows) -> str:
     series = []
     for key, sel in groups.items():
         x = np.array([float(r[xi]) for r in sel])
-        order = np.argsort(x, kind="stable")
         if spec.y is None:
-            y = np.arange(1, len(x) + 1) / len(x)
+            cdf = positioning.empirical_cdf(x)
+            x, y = cdf.errors, cdf.probabilities
         else:
-            y = np.array([float(r[col(spec.y)]) for r in sel])[order]
-        series.append(Series(spec.label(*key), x[order], y))
+            order = np.argsort(x, kind="stable")
+            x, y = x[order], np.array([float(r[col(spec.y)]) for r in sel])[order]
+        series.append(Series(spec.label(*key), x, y))
     return line_plot(series, title=spec.title, xlabel=spec.xlabel, ylabel=spec.ylabel)
 
 
@@ -164,25 +165,21 @@ def _positioning_one(task):
     initial = positioning.initial_state_from_frame(
         frames[0], params, speed_along_road=p["speed_kmh"] * KMH
     )
-    estimates = positioning.ekf_fuse(frames, initial, params)
+    t = np.array([frame.t for frame in frames])
+    fused = np.array([est.mean[:2] for est in positioning.ekf_fuse(frames, initial, params)])
+    nr_only = positioning.nr_only_positions(frames, params)
+    truth = trajectory.position[trajectory.index_at(t)]
+    fused_err = positioning.horizontal_errors(fused, t, trajectory)
+    nr_err = positioning.horizontal_errors(nr_only, t, trajectory)
 
     rows = []
-    for frame, est in zip(frames, estimates):
-        idx = int(round(frame.t / p["dt_s"]))
-        tx, ty = trajectory.position[idx][:2]
-        ex, ey = est.mean[:2]
-        rows.append(
-            (frame.t, float(tx), float(ty), float(ex), float(ey),
-             float(np.hypot(ex - tx, ey - ty)), "fused", p["nb_fused_bs"], snr)
-        )
-        try:
-            nx, ny = positioning.nr_only_position(frame, params)
-        except positioning.EstimationError:
-            continue
-        rows.append(
-            (frame.t, float(tx), float(ty), float(nx), float(ny),
-             float(np.hypot(nx - tx, ny - ty)), "nr_only", p["nb_fused_bs"], snr)
-        )
+    for i, frame in enumerate(frames):
+        tx, ty = float(truth[i, 0]), float(truth[i, 1])
+        rows.append((frame.t, tx, ty, float(fused[i, 0]), float(fused[i, 1]),
+                     float(fused_err[i]), "fused", p["nb_fused_bs"], snr))
+        if not math.isnan(nr_err[i]):  # a failed radio-only solve has no row
+            rows.append((frame.t, tx, ty, float(nr_only[i, 0]), float(nr_only[i, 1]),
+                         float(nr_err[i]), "nr_only", p["nb_fused_bs"], snr))
     return rows
 
 
@@ -295,17 +292,16 @@ def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qo
     return qos.ThroughputTrace(
         epoch_s=epoch_s,
         delivered_bits=np.tile(epochs, repeats),
-        metadata={"source": "hst_sfn", "seed": seed, "repeats": repeats},
     )
 
 
 def _qos_one(task):
     trace, p, horizon = task
-    errs = np.sort(qos.horizon_errors(
+    cdf = positioning.empirical_cdf(qos.horizon_errors(
         trace, horizon, p["method"], ma_windows=p["ma_windows"], ar1_lambda=p["ar1_lambda"]
     ))
-    probs = np.arange(1, len(errs) + 1) / len(errs)
-    return [(horizon, p["method"], float(e), float(cp)) for e, cp in zip(errs, probs)]
+    return [(horizon, p["method"], float(e), float(cp))
+            for e, cp in zip(cdf.errors, cdf.probabilities)]
 
 
 def run_qos(config: RunConfig) -> dict[str, str]:

@@ -108,6 +108,14 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
+    def index_at(self, t) -> np.ndarray:
+        """Index of the sample at each time in ``t``, which must be sample times."""
+        idx = np.rint(np.asarray(t, dtype=float) / self.sample_period).astype(np.intp)
+        inside = (idx >= 0) & (idx < len(self.t))
+        if not np.all(inside) or np.any(np.abs(self.t[idx] - t) > 1e-9):
+            raise ConfigurationError("time has no matching trajectory sample")
+        return idx
+
     def sample(self, i: int) -> PoseSample:
         return PoseSample(
             t=float(self.t[i]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MacroParams
+from .channel import MacroParams, macro_pathgain
 from .errors import ConfigurationError
 from .rng import substream
 from .scenario import KMH, Deployment
@@ -63,10 +63,6 @@ class CellParams:
 class UserRecord:
     id: int
     arrival_t: float
-    entry_x: float
-    direction: float  # +1 / -1 along the road
-    speed: float  # m/s
-    shadow_db: float
     backlog_bits: float
     served_bits: float = 0.0
     admitted: bool = False
@@ -103,20 +99,6 @@ def deferred_mask(gains: np.ndarray, ids: np.ndarray, policy: DropPolicy) -> np.
     return deferred
 
 
-def classify_users(users: list[UserRecord], policy: DropPolicy):
-    """Partition users into (eligible, deferred) by current path gain, each in
-    the order given (see :func:`deferred_mask`)."""
-    if not users:
-        raise ConfigurationError("no users to classify")
-    deferred = deferred_mask(
-        np.array([u.current_gain_db for u in users]), np.array([u.id for u in users]), policy
-    )
-    return (
-        [u for u, d in zip(users, deferred) if not d],
-        [u for u, d in zip(users, deferred) if d],
-    )
-
-
 @dataclass
 class CellStats:
     users: list[UserRecord]
@@ -148,9 +130,8 @@ def simulate_cell(
     """Event loop over TDM slots for one cell (the first deployed site).
 
     State is kept in parallel column arrays; the per-slot work (positions,
-    gains, drop-policy partition, round-robin pick) is vectorized over the
-    users currently in the system; the partition is deferred_mask, as in
-    classify_users.
+    gains from macro_pathgain, the deferred_mask partition, round-robin pick)
+    is vectorized over the users currently in the system.
 
     ``initial_users`` places deterministic users at t = 0 in addition to the
     Poisson arrivals; each entry is (entry_x_m, direction, shadow_db,
@@ -215,8 +196,7 @@ def simulate_cell(
 
         x = entry_x[idx] + direction[idx] * speed * (t - arrival_t[idx])
         x = (x + half_span) % span - half_span  # wrap to the next cell
-        d2d = np.maximum(np.abs(x - site.position[0]), 1.0)
-        gains = -params.pathloss.pathloss_db(np.hypot(d2d, site.position[1])) + shadow[idx]
+        gains = macro_pathgain(site, x, params.pathloss, shadow[idx])
         last_gain[idx] = gains
 
         elig_idx = idx[~deferred_mask(gains, idx, policy)]
@@ -247,10 +227,6 @@ def simulate_cell(
             UserRecord(
                 id=int(ids[i]),
                 arrival_t=float(arrival_t[i]),
-                entry_x=float(entry_x[i]),
-                direction=float(direction[i]),
-                speed=speed,
-                shadow_db=float(shadow[i]),
                 backlog_bits=float(backlog[i]),
                 served_bits=float(served[i]),
                 admitted=bool(admitted[i]),
@@ -345,16 +321,6 @@ def density_sweep(
     return out
 
 
-#: Reference uplink figures for the corresponding deployment; the uplink is
-#: not simulated here and these are reporting constants only.
-UPLINK_REFERENCE = {
-    "capacity_mbps_km2": 760.0,
-    "file_time_s_no_drop": 250.0,
-    "file_time_s_drop50": 31.0,
-    "coverage_rate_mbps": 2.0,
-}
-
-
 def file_transfer_report(
     deployment: Deployment,
     policy: DropPolicy,
@@ -373,5 +339,4 @@ def file_transfer_report(
     return {
         "dl_seconds": median_file_time(stats),
         "coverage_fraction": stats.eligible_fraction_time_avg,
-        "uplink_reference": UPLINK_REFERENCE,
     }

@@ -14,6 +14,10 @@ Key columns are the study's series keys (``runner.STUDY_SPECS``) and every
 column that is not numeric; integer columns are those whose every cell parses
 as an integer. The exit code is 0 when every row count, key and integer
 column matches, and 1 otherwise; float deltas are reported, not judged.
+
+Every ``.svg`` file present in both directories is reported as byte-identical
+or not, so one command shows whether all run outputs of two runs agree; like
+the float deltas, an SVG difference is reported, not judged.
 """
 
 from __future__ import annotations
@@ -128,6 +132,20 @@ def compare_dirs(old_dir: str, new_dir: str) -> list[FileReport]:
     return [compare_csv(os.path.join(old_dir, n), os.path.join(new_dir, n)) for n in names]
 
 
+def _bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def shared_svgs(old_dir: str, new_dir: str) -> list[tuple[str, bool]]:
+    """(name, byte-identical) for every SVG file in both directories, by name."""
+    names = sorted(set(os.listdir(old_dir)) & set(os.listdir(new_dir)))
+    return [
+        (n, _bytes(os.path.join(old_dir, n)) == _bytes(os.path.join(new_dir, n)))
+        for n in names if n.endswith(".svg")
+    ]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -136,6 +154,8 @@ def main(argv=None) -> int:
     reports = compare_dirs(*argv)
     for r in reports:
         print("\n".join(r.lines()))
+    for name, same in shared_svgs(*argv):
+        print(f"{name}: byte-identical {'yes' if same else 'no'}")
     return 0 if all(r.exact_parts_match for r in reports) else 1
 
 

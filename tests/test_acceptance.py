@@ -35,9 +35,10 @@ from nrtransport import (
     error_cdf,
     file_transfer_report,
     horizon_errors,
+    horizontal_errors,
     initial_state_from_frame,
     linear_trajectory,
-    nr_only_position,
+    nr_only_positions,
     parse_config,
     prediction_error,
     run,
@@ -49,10 +50,10 @@ from nrtransport import (
     transport_block_size,
 )
 from nrtransport.hst import HstLinkParams
-from nrtransport.positioning import EstimationError, StateEstimate, _measurement_model
-from nrtransport.qos import PredictionRecord
+from nrtransport.positioning import StateEstimate, _measurement_model
 from nrtransport.rng import substream
 from nrtransport.runner import default_hst_trace
+from nrtransport.scenario import KMH
 from nrtransport.scheduler import _rate_bps, mean_user_throughput
 
 
@@ -80,18 +81,12 @@ def test_criterion_1_positioning_accuracy():
             deployment, trajectory, snr, 2, seed=1, carrier_hz=28e9, decimation=10
         )
         initial = initial_state_from_frame(
-            frames[0], params, speed_along_road=130 / 3.6
+            frames[0], params, speed_along_road=130 * KMH
         )
         fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
-        nr_errs = []
-        for f in frames:
-            truth = trajectory.position[int(round(f.t / 0.01))][:2]
-            try:
-                xy = nr_only_position(f, params)
-            except EstimationError:
-                continue
-            nr_errs.append(float(np.hypot(xy[0] - truth[0], xy[1] - truth[1])))
-        results[snr] = (fused, empirical_cdf(nr_errs))
+        t = np.array([f.t for f in frames])
+        nr_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
+        results[snr] = (fused, empirical_cdf(nr_errs[~np.isnan(nr_errs)]))
 
     elapsed = time.time() - t0
     q90_5 = results[5.0][0].quantile(0.9)
@@ -337,18 +332,10 @@ def test_criterion_6_two_user_closed_form():
 
 def test_criterion_7_qos_exactness_and_u_shape():
     t0 = time.time()
-    rec = PredictionRecord(t=0.0, horizon_s=0.1, b_predicted=8e5, b_delivered=1e6)
     exact = (
-        abs(prediction_error(rec) - 2e6) < 1e-12
-        and prediction_error(
-            PredictionRecord(t=0.0, horizon_s=1.0, b_predicted=5.0, b_delivered=5.0)
-        ) == 0.0
-        and abs(
-            prediction_error(
-                PredictionRecord(t=0.0, horizon_s=2.0, b_predicted=0.0, b_delivered=6e6)
-            )
-            - 3e6
-        ) < 1e-12
+        abs(prediction_error(1e6, 8e5, 0.1) - 2e6) < 1e-12
+        and prediction_error(5.0, 5.0, 1.0) == 0.0
+        and abs(prediction_error(6e6, 0.0, 2.0) - 3e6) < 1e-12
     )
 
     trace = default_hst_trace(1)

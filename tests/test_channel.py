@@ -76,7 +76,7 @@ def test_coincident_site_and_vehicle_rejected():
 def test_tap_power_normalization():
     site = Site(id=0, position=np.array([500.0, 10.0, 35.0]))
     taps = hst_taps(
-        site, _pose([0, 0, 1.5], [138.9, 0, 0]), default_rail_profile(), 0.0,
+        site, _pose([0, 0, 1.5], [138.9, 0, 0]), default_rail_profile(),
         carrier_hz=2e9, link_power=0.37, rng=substream(1, "t"),
     )
     assert abs(taps.total_power - 0.37) < 1e-12
@@ -87,7 +87,7 @@ def test_tap_doppler_never_exceeds_kinematic_limit():
     site = Site(id=0, position=np.array([500.0, 10.0, 35.0]))
     v = 138.9
     taps = hst_taps(
-        site, _pose([0, 0, 1.5], [v, 0, 0]), default_rail_profile(), 0.0,
+        site, _pose([0, 0, 1.5], [v, 0, 0]), default_rail_profile(),
         carrier_hz=2e9, rng=substream(1, "t"),
     )
     assert np.max(np.abs(taps.dopplers)) <= v * 2e9 / SPEED_OF_LIGHT + 1e-9
@@ -96,7 +96,7 @@ def test_tap_doppler_never_exceeds_kinematic_limit():
 def test_los_only_profile_single_tap_doppler():
     site = Site(id=0, position=np.array([1000.0, 0.0, 1.5]))
     v = 500 / 3.6
-    taps = hst_taps(site, _pose([0, 0, 1.5], [v, 0, 0]), los_only_profile(), 0.0, carrier_hz=2e9)
+    taps = hst_taps(site, _pose([0, 0, 1.5], [v, 0, 0]), los_only_profile(), carrier_hz=2e9)
     assert len(taps.delays) == 1
     assert abs(taps.dopplers[0] - v * 2e9 / SPEED_OF_LIGHT) < 1e-6
 
@@ -110,7 +110,7 @@ def test_profile_statistics_match_table():
     k_lin, ds = [], []
     rng = substream(9, "profile")
     for _ in range(1000):
-        taps = hst_taps(site, pose, profile, 0.0, carrier_hz=2e9, rng=rng)
+        taps = hst_taps(site, pose, profile, carrier_hz=2e9, rng=rng)
         p = np.abs(taps.gains) ** 2
         los = int(np.argmin(taps.delays))
         k_lin.append(p[los] / (np.sum(p) - p[los]))
@@ -144,7 +144,7 @@ def test_hst_taps_is_one_link_of_the_sweep_builder(monkeypatch):
     for s in (0, 57, len(trajectory) - 1):
         for k in (0, 1, 3):
             taps = hst_taps(
-                deployment.sites[k], trajectory.sample(s), params.profile, trajectory.t[s],
+                deployment.sites[k], trajectory.sample(s), params.profile,
                 carrier_hz=params.carrier_hz, link_power=gains_lin[s, k],
                 nlos_phases=sweep.phases[s, k, nlos],
             )
@@ -163,7 +163,7 @@ def test_tap_builder_rejects_vehicle_at_site():
     with pytest.raises(GeometryError):
         hst_taps(
             Site(id=1, position=sites[1]), _pose(sites[1], [1.0, 0, 0]), default_rail_profile(),
-            0.0, carrier_hz=2e9, rng=substream(1, "t"),
+            carrier_hz=2e9, rng=substream(1, "t"),
         )
 
 
@@ -291,12 +291,23 @@ def test_response_linear_in_gains():
 
 def test_macro_pathgain_slope_and_determinism():
     params = MacroParams()
-    site = Site(id=0, position=np.array([0.0, 35.0, 35.0]))
-    g100 = macro_pathgain(site, [100.0, 35.0, 1.5], params)
-    g1000 = macro_pathgain(site, [1000.0, 35.0, 1.5], params)
+    site = Site(id=0, position=np.array([500.0, 0.0, 35.0]))
+    g100 = macro_pathgain(site, 600.0, params, 0.0)
+    g1000 = macro_pathgain(site, -500.0, params, 0.0)
     assert abs((g100 - g1000) - 10 * params.exponent) < 1e-9
-    # Without rng or shadow_db the curve is deterministic.
-    assert g100 == macro_pathgain(site, [100.0, 35.0, 1.5], params)
-    assert macro_pathgain(site, [100.0, 35.0, 1.5], params, shadow_db=4.0) == g100 + 4.0
-    with pytest.raises(GeometryError):
-        macro_pathgain(site, [0.0, 35.0, 1.5], params)
+    assert g100 == macro_pathgain(site, 400.0, params, 0.0)  # symmetric about the site
+    assert macro_pathgain(site, 600.0, params, 4.0) == g100 + 4.0
+    # Elementwise over any shape, each user with its own shadowing.
+    x = np.array([[600.0, -500.0], [400.0, 1500.0]])
+    shadow = np.array([[0.0, 0.0], [4.0, -2.0]])
+    want = [[g100, g1000], [g100 + 4.0, g1000 - 2.0]]
+    np.testing.assert_array_equal(macro_pathgain(site, x, params, shadow), want)
+
+
+def test_macro_pathgain_at_the_site_is_the_gain_at_1_m():
+    params = MacroParams()
+    site = Site(id=0, position=np.array([500.0, 0.0, 35.0]))
+    at_1m = macro_pathgain(site, 501.0, params, 0.0)
+    assert macro_pathgain(site, 500.0, params, 0.0) == at_1m
+    assert macro_pathgain(site, 500.4, params, 0.0) == at_1m
+    assert math.isfinite(at_1m)

@@ -1,5 +1,6 @@
 """Config parsing, CLI behavior, and run manifests."""
 
+import csv
 import json
 import os
 import re
@@ -9,11 +10,29 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from nrtransport import ConfigurationError, load_config, parse_config, run, runner
+from nrtransport import (
+    ConfigurationError,
+    EkfParams,
+    ScenarioKind,
+    build_linear_deployment,
+    ekf_fuse,
+    empirical_cdf,
+    error_cdf,
+    horizontal_errors,
+    initial_state_from_frame,
+    load_config,
+    nr_only_positions,
+    parse_config,
+    run,
+    runner,
+    simulate_measurements,
+    snake_trajectory,
+)
 from nrtransport.cli import main as cli_main
 from nrtransport.runner import plot_csv
+from nrtransport.scenario import KMH
 
-from golden.compare import compare_csv
+from golden.compare import compare_csv, main as compare_main
 
 
 def test_minimal_config_fills_defaults():
@@ -168,6 +187,51 @@ def test_tiny_runs_match_golden(tiny_runs):
         assert all(d.max_rel <= 1e-9 for d in report.floats.values()), report.lines()
 
 
+def test_compare_reports_svg_byte_identity(tiny_runs, tmp_path, capsys):
+    old = tiny_runs["hst"]
+    svg = runner.STUDY_SPECS["hst"].svg
+    new = tmp_path / "new"
+    new.mkdir()
+    for name in ("hst.csv", svg):
+        (new / name).write_bytes((old / name).read_bytes())
+    assert compare_main([str(old), str(new)]) == 0
+    assert f"{svg}: byte-identical yes" in capsys.readouterr().out
+    (new / svg).write_bytes((old / svg).read_bytes().replace(b"</svg>", b"</svg>\n"))
+    assert compare_main([str(old), str(new)]) == 0  # reported, not judged
+    assert f"{svg}: byte-identical no" in capsys.readouterr().out
+
+
+def test_positioning_errors_are_the_tested_error_path(tiny_runs):
+    # The err_m cells the study writes are, bit for bit, what error_cdf (fused)
+    # and horizontal_errors over nr_only_positions (radio-only) give.
+    cfg = parse_config(TINY_CONFIGS["positioning"])
+    p = cfg.params
+    deployment = build_linear_deployment(
+        p["isd_m"], p["lateral_offset_m"], p["site_height_m"], p["span_m"],
+        ScenarioKind.HIGHWAY_POSITIONING,
+    )
+    trajectory = snake_trajectory(
+        p["speed_kmh"], p["span_m"], p["snake_amplitude_m"], p["snake_period_m"], p["dt_s"]
+    )
+    params = EkfParams(deployment=deployment)
+    with open(tiny_runs["positioning"] / "positioning.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for snr in p["snr_db"]:
+        frames = simulate_measurements(
+            deployment, trajectory, snr, p["nb_fused_bs"], cfg.seed,
+            carrier_hz=p["carrier_hz"], decimation=p["decimation"],
+        )
+        initial = initial_state_from_frame(frames[0], params, speed_along_road=p["speed_kmh"] * KMH)
+        fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
+        t = np.array([f.t for f in frames])
+        nr_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
+        nr_only = empirical_cdf(nr_errs[~np.isnan(nr_errs)])
+        for method, cdf in (("fused", fused), ("nr_only", nr_only)):
+            written = np.sort([float(r["err_m"]) for r in rows
+                               if r["method"] == method and float(r["snr_db"]) == snr])
+            assert len(written) == len(frames) and np.array_equal(written, cdf.errors), method
+
+
 def test_every_study_svg_is_well_formed(tiny_runs):
     for study, out in tiny_runs.items():
         ElementTree.parse(out / runner.STUDY_SPECS[study].svg)
@@ -204,7 +268,11 @@ def test_cli_rejects_zero_bin_size(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ("[qos]\ntrace_epoch_s = 0.0007\n", "trace epoch must be a multiple of the slot duration"),
     ("[qos]\nhorizons_s = 0.1, -1\n", "line 2: key 'horizons_s' must be > 0.0, got '0.1, -1'"),
-], ids=["off_grid_epoch", "negative_horizon"])
+    ("[qos]\nmethod = ar1\nar1_lambda = 0\n", "line 3: key 'ar1_lambda' must be > 0.0, got '0'"),
+    ("[qos]\nmethod = ar1\nar1_lambda = 1.5\n", "line 3: key 'ar1_lambda' must be <= 1.0, got '1.5'"),
+    ("[qos]\nmethod = moving_average\nma_windows = 0\n", "line 3: key 'ma_windows' must be > 0, got '0'"),
+], ids=["off_grid_epoch", "negative_horizon", "zero_ar1_lambda", "ar1_lambda_above_one",
+        "zero_ma_windows"])
 def test_cli_rejects_qos_values_before_the_trace_sweep(tmp_path, capsys, monkeypatch, text, message):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the rail sweep ran before the config was checked")
@@ -216,6 +284,13 @@ def test_cli_rejects_qos_values_before_the_trace_sweep(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert message in err
+
+
+def test_upper_bound_is_inclusive():
+    assert parse_config("[qos]\nar1_lambda = 1.0\n").params["ar1_lambda"] == 1.0
+    # The schema bounds every value of a key, whichever predictor reads it.
+    with pytest.raises(ConfigurationError, match="line 3: key 'ma_windows' must be > 0"):
+        parse_config("[qos]\nmethod = last_window\nma_windows = 0\n")
 
 
 def test_float_list_bound_applies_to_each_value():

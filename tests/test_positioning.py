@@ -14,12 +14,15 @@ from nrtransport import (
     ekf_fuse,
     empirical_cdf,
     error_cdf,
+    horizontal_errors,
     initial_state_from_frame,
     nr_only_position,
+    nr_only_positions,
+    positioning,
     simulate_measurements,
     snake_trajectory,
 )
-from nrtransport.errors import ConfigurationError
+from nrtransport.errors import ConfigurationError, EstimationError
 from nrtransport.positioning import StateEstimate
 from nrtransport.rng import substream
 
@@ -231,6 +234,40 @@ def test_error_cdf_permutation_invariant():
     cdf1 = error_cdf(estimates, trajectory)
     cdf2 = error_cdf(list(reversed(estimates)), trajectory)
     assert np.array_equal(cdf1.errors, cdf2.errors)
+
+
+def test_failed_radio_only_solve_is_a_nan_row(monkeypatch):
+    deployment, trajectory = _scenario()
+    frames = simulate_measurements(deployment, trajectory, 15.0, 2, seed=4, decimation=100)
+    params = EkfParams(deployment=deployment)
+    solve = positioning.nr_only_position
+
+    def fail_second(frame, params):
+        if frame is frames[1]:
+            raise EstimationError("Gauss-Newton diverged")
+        return solve(frame, params)
+
+    monkeypatch.setattr(positioning, "nr_only_position", fail_second)
+    xy = nr_only_positions(frames, params)
+    assert xy.shape == (len(frames), 2) and np.all(np.isnan(xy[1]))
+    for i in (0, 2, len(frames) - 1):
+        assert np.array_equal(xy[i], solve(frames[i], params))
+    errs = horizontal_errors(xy, np.array([f.t for f in frames]), trajectory)
+    assert np.isnan(errs[1]) and np.all(np.isfinite(np.delete(errs, 1)))
+    with pytest.raises(ConfigurationError, match="NaN"):
+        empirical_cdf(errs)
+
+
+def test_horizontal_errors_against_the_sample_at_each_time():
+    _, trajectory = _scenario()
+    idx = np.array([0, 7, 250])
+    truth = trajectory.position[idx, :2]
+    xy = truth + np.array([[3.0, 4.0], [0.0, 0.0], [-6.0, 8.0]])
+    np.testing.assert_allclose(horizontal_errors(xy, trajectory.t[idx], trajectory), [5, 0, 10], atol=1e-12)
+    with pytest.raises(ConfigurationError, match="no matching trajectory sample"):
+        horizontal_errors(xy, trajectory.t[idx] + 0.004, trajectory)
+    with pytest.raises(ConfigurationError, match="no matching trajectory sample"):
+        horizontal_errors(xy[:1], np.array([trajectory.t[-1] + 0.01]), trajectory)
 
 
 def test_more_fused_sites_does_not_hurt():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nrtransport import (
-    PredictionRecord,
     ThroughputTrace,
     horizon_cdfs,
     horizon_errors,
@@ -40,22 +39,38 @@ def test_window_bits_fractional_epochs():
 
 
 def test_prediction_error_arithmetic():
-    rec = PredictionRecord(t=0.0, horizon_s=0.1, b_predicted=8e5, b_delivered=1e6)
-    assert prediction_error(rec) == pytest.approx(2e6, abs=1e-12)
-    perfect = PredictionRecord(t=0.0, horizon_s=1.0, b_predicted=5.0, b_delivered=5.0)
-    assert prediction_error(perfect) == 0.0
+    assert prediction_error(1e6, 8e5, 0.1) == pytest.approx(2e6, abs=1e-12)
+    assert prediction_error(5.0, 5.0, 1.0) == 0.0
     # Zero prediction against constant rate R gives e' = R.
     rate = 3e6
-    rec = PredictionRecord(t=0.0, horizon_s=2.0, b_predicted=0.0, b_delivered=rate * 2.0)
-    assert prediction_error(rec) == pytest.approx(rate, abs=1e-12)
+    assert prediction_error(rate * 2.0, 0.0, 2.0) == pytest.approx(rate, abs=1e-12)
+    with pytest.raises(ConfigurationError, match="horizon must be positive"):
+        prediction_error(1.0, 1.0, 0.0)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        prediction_error(np.array([1.0, 2.0]), np.array([1.0, -2.0]), 1.0)
 
 
 def test_error_symmetry_and_homogeneity():
-    a = PredictionRecord(t=0.0, horizon_s=0.5, b_predicted=10.0, b_delivered=4.0)
-    b = PredictionRecord(t=0.0, horizon_s=0.5, b_predicted=4.0, b_delivered=10.0)
-    assert prediction_error(a) == prediction_error(b)
-    scaled = PredictionRecord(t=0.0, horizon_s=0.5, b_predicted=30.0, b_delivered=12.0)
-    assert prediction_error(scaled) == pytest.approx(3 * prediction_error(a), abs=1e-12)
+    a = prediction_error(4.0, 10.0, 0.5)
+    assert a == prediction_error(10.0, 4.0, 0.5)
+    assert prediction_error(12.0, 30.0, 0.5) == pytest.approx(3 * a, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["last_window", "moving_average", "ar1"])
+def test_horizon_errors_are_prediction_error_over_the_windows(method):
+    # Elementwise over arrays, prediction_error gives every window's e' as
+    # horizon_errors does for its starts (to float noise: ar1 shares one chain
+    # of windows among starts whose phases agree to 1e-12 of the trace).
+    rng = np.random.default_rng(27)
+    trace = ThroughputTrace(0.1, rng.uniform(0.0, 1e6, 300))
+    dt, step = 0.5, 0.1
+    history = 4 * dt if method == "moving_average" else dt
+    starts = np.arange(history, trace.duration - dt + 1e-9, step)
+    predicted = np.array([predict(trace, float(t), dt, method) for t in starts])
+    got = horizon_errors(trace, dt, method, min_windows=10)
+    want = prediction_error(window_bits(trace, starts, dt), predicted, dt)
+    assert got.shape == want.shape == starts.shape
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * 1e7)  # rates up to 1e7 bit/s
 
 
 def test_constant_trace_all_predictors_exact():
@@ -76,9 +91,7 @@ def test_step_trace_last_window_error_equals_rate_jump():
     dt = 5.0
     pred = predict(trace, t0, dt, "last_window")
     delivered = window_bits(trace, t0, dt)
-    e = prediction_error(
-        PredictionRecord(t=t0, horizon_s=dt, b_predicted=pred, b_delivered=delivered)
-    )
+    e = prediction_error(delivered, pred, dt)
     assert e == pytest.approx(rate, abs=1e-9)
 
 
@@ -109,9 +122,7 @@ def test_error_bounded_by_max_bits_over_horizon():
         dt = 1.0
         pred = predict(trace, float(t), dt, "last_window")
         deliv = window_bits(trace, float(t), dt)
-        e = prediction_error(
-            PredictionRecord(t=float(t), horizon_s=dt, b_predicted=pred, b_delivered=deliv)
-        )
+        e = prediction_error(deliv, pred, dt)
         assert 0.0 <= e <= max(pred, deliv) / dt + 1e-9
 
 

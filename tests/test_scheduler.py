@@ -1,4 +1,4 @@
-"""Macro-cell scheduler: classification, round-robin service, sweep behavior."""
+"""Macro-cell scheduler: drop-policy partition, round-robin service, sweep behavior."""
 
 import math
 
@@ -10,63 +10,49 @@ from nrtransport import (
     DropPolicy,
     ScenarioKind,
     TrafficConfig,
-    UserRecord,
     build_linear_deployment,
-    classify_users,
     median_file_time,
     mean_user_throughput,
     simulate_cell,
 )
 from nrtransport.errors import ConfigurationError
-from nrtransport.scheduler import _rate_bps, _snr_db
+from nrtransport.scheduler import _rate_bps, _snr_db, deferred_mask
 
 
 def _deployment():
     return build_linear_deployment(1732, 0, 35, 1732, ScenarioKind.HIGHWAY_MACRO)
 
 
-def _user(uid, gain_db):
-    return UserRecord(
-        id=uid, arrival_t=0.0, entry_x=0.0, direction=1.0, speed=0.0,
-        shadow_db=0.0, backlog_bits=1e9, current_gain_db=gain_db,
-    )
+def _deferred(gains, policy):
+    """Deferred user ids, for users 0..n-1 with the given gains (dB)."""
+    ids = np.arange(len(gains))
+    return list(ids[deferred_mask(np.array(gains, dtype=float), ids, policy)])
 
 
 def test_classify_all_eligible_at_rho_zero():
-    users = [_user(i, -100.0 - 10 * i) for i in range(4)]
-    eligible, deferred = classify_users(users, DropPolicy(0.0))
-    assert len(eligible) == 4 and not deferred
+    assert _deferred([-100.0 - 10 * i for i in range(4)], DropPolicy(0.0)) == []
 
 
 def test_classify_defers_lowest_gain_half():
-    users = [_user(i, g) for i, g in enumerate([-100.0, -110.0, -120.0, -130.0])]
-    eligible, deferred = classify_users(users, DropPolicy(0.5))
-    assert sorted(u.current_gain_db for u in deferred) == [-130.0, -120.0]
-    assert sorted(u.current_gain_db for u in eligible) == [-110.0, -100.0]
+    assert _deferred([-100.0, -110.0, -120.0, -130.0], DropPolicy(0.5)) == [2, 3]
 
 
 def test_classify_quantile_invariant_to_gain_offset():
-    users = [_user(i, g) for i, g in enumerate([-97.0, -113.0, -108.0, -121.0, -105.0])]
-    _, deferred = classify_users(users, DropPolicy(0.4))
-    shifted = [_user(u.id, u.current_gain_db + 17.0) for u in users]
-    _, deferred2 = classify_users(shifted, DropPolicy(0.4))
-    assert [u.id for u in deferred] == [u.id for u in deferred2]
+    gains = np.array([-97.0, -113.0, -108.0, -121.0, -105.0])
+    deferred = _deferred(gains, DropPolicy(0.4))
+    assert deferred == [1, 3]
+    assert _deferred(gains + 17.0, DropPolicy(0.4)) == deferred
 
 
 def test_classify_absolute_threshold_and_reeligibility():
-    users = [_user(0, -125.0)]
     policy = DropPolicy(0.5, threshold_mode="absolute_db", threshold_db=-120.0)
-    eligible, deferred = classify_users(users, policy)
-    assert not eligible and len(deferred) == 1
+    assert _deferred([-125.0], policy) == [0]
     # The same user becomes eligible once its gain improves past the threshold.
-    users = [_user(0, -115.0)]
-    eligible, deferred = classify_users(users, policy)
-    assert len(eligible) == 1 and not deferred
+    assert _deferred([-115.0], policy) == []
 
 
 def test_classify_validation():
-    with pytest.raises(ConfigurationError):
-        classify_users([], DropPolicy(0.0))
+    assert _deferred([], DropPolicy(0.5)) == []
     with pytest.raises(ConfigurationError):
         DropPolicy(1.5)
     with pytest.raises(ConfigurationError):
