@@ -38,17 +38,17 @@ _COMMON = {
 SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "positioning": {
         "snr_db": FieldSpec("float_list", (5.0, 15.0)),
-        "nb_fused_bs": FieldSpec("int", 2),
-        "isd_m": FieldSpec("float", 200.0),
+        "nb_fused_bs": FieldSpec("int", 2, above=0),
+        "isd_m": FieldSpec("float", 200.0, above=0.0),
         "lateral_offset_m": FieldSpec("float", 40.0),
         "site_height_m": FieldSpec("float", 10.0),
-        "span_m": FieldSpec("float", 10000.0),
-        "speed_kmh": FieldSpec("float", 130.0),
+        "span_m": FieldSpec("float", 10000.0, above=0.0),
+        "speed_kmh": FieldSpec("float", 130.0, above=0.0),
         "snake_amplitude_m": FieldSpec("float", 3.5),
-        "snake_period_m": FieldSpec("float", 500.0),
-        "dt_s": FieldSpec("float", 0.01),
-        "carrier_hz": FieldSpec("float", 28e9),
-        "decimation": FieldSpec("int", 10),
+        "snake_period_m": FieldSpec("float", 500.0, above=0.0),
+        "dt_s": FieldSpec("float", 0.01, above=0.0),
+        "carrier_hz": FieldSpec("float", 28e9, above=0.0),
+        "decimation": FieldSpec("int", 10, above=0),
     },
     "hst": {
         "scheme": FieldSpec("str", "all", ("SFN", "SFN_CDD", "SFN_PRECOMP", "DPS", "all")),
@@ -68,7 +68,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "duration_s": FieldSpec("float", 200.0),
         "isd_m": FieldSpec("float", 1732.0),
         "file_size_mb": FieldSpec("float", 50.0),
-        "speed_kmh": FieldSpec("float", 140.0),
+        "speed_kmh": FieldSpec("float", 140.0, above=0.0),
     },
     "qos": {
         "horizons_s": FieldSpec("float_list", (0.1, 1.0, 10.0), above=0.0),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,8 @@ class MeasurementFrame:
         ordered = tuple(sorted(self.per_site, key=lambda m: (-m.snr_db, m.range_m)))
         object.__setattr__(self, "per_site", ordered)
         for m in self.per_site:
+            if not (math.isfinite(m.range_m) and math.isfinite(m.aoa_az) and math.isfinite(m.aoa_el)):
+                raise ConfigurationError("measured range and angles must be finite")
             if m.range_m <= 0:
                 raise ConfigurationError("measured range must be positive")
 
@@ -149,9 +152,16 @@ class EkfParams:
     sigma_floor_m: float = 1e-6
     sigma_floor_rad: float = 1e-9
 
+    @cached_property
+    def site_xyz(self) -> dict[int, tuple[float, float, float]]:
+        """Position of every deployed site by id, as floats."""
+        return {s.id: tuple(float(v) for v in s.position) for s in self.deployment.sites}
 
-def _measurement_model(state_xy: np.ndarray, site_pos: np.ndarray, ue_height: float):
-    """Predicted (range, az, el) toward a site and Jacobian wrt (x, y)."""
+
+def _measurement_model(state_xy, site_pos, ue_height: float):
+    """Predicted ``(range, az, el)`` toward a site and its Jacobian rows wrt
+    (x, y), ``((dr/dx, dr/dy), (daz/dx, daz/dy), (del/dx, del/dy))``, as float
+    tuples."""
     dx = site_pos[0] - state_xy[0]
     dy = site_pos[1] - state_xy[1]
     dz = site_pos[2] - ue_height
@@ -159,18 +169,15 @@ def _measurement_model(state_xy: np.ndarray, site_pos: np.ndarray, ue_height: fl
     r = math.sqrt(d2 * d2 + dz * dz)
     az = math.atan2(dy, dx)
     el = math.atan2(dz, d2)
-    # d/d(x,y) of each observable.
-    jac = np.array(
-        [
-            [-dx / r, -dy / r],
-            [dy / (d2 * d2), -dx / (d2 * d2)],
-            [dx * dz / (r * r * d2), dy * dz / (r * r * d2)],
-        ]
+    return (r, az, el), (
+        (-dx / r, -dy / r),
+        (dy / (d2 * d2), -dx / (d2 * d2)),
+        (dx * dz / (r * r * d2), dy * dz / (r * r * d2)),
     )
-    return np.array([r, az, el]), jac
 
 
-def _wrap(angle: np.ndarray) -> np.ndarray:
+def _wrap(angle):
+    """Angle (float or array) wrapped into [-pi, pi)."""
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
@@ -182,7 +189,7 @@ def ekf_fuse(
     """Fuse IMU acceleration (control input) with stacked per-site residuals."""
     if not frames:
         raise ConfigurationError("no measurement frames")
-    sites = {s.id: s.position for s in params.deployment.sites}
+    sites = params.site_xyz
     x = np.asarray(initial.mean, dtype=float).copy()
     p = np.asarray(initial.covariance, dtype=float).copy()
     t_prev = initial.t
@@ -250,8 +257,8 @@ def initial_state_from_frame(
     vel_sigma: float = 2.0,
 ) -> StateEstimate:
     """Seed the filter from the first frame's single-site geometric solve."""
-    xy = _single_site_position(frame.per_site[0], params)
-    mean = np.array([xy[0], xy[1], speed_along_road, 0.0])
+    x, y = _single_site_position(frame.per_site[0], params)
+    mean = np.array([x, y, speed_along_road, 0.0])
     cov = np.diag([pos_sigma**2, pos_sigma**2, vel_sigma**2, vel_sigma**2])
     return StateEstimate(t=frame.t, mean=mean, covariance=cov)
 
@@ -260,19 +267,15 @@ def initial_state_from_frame(
 # Radio-only geometric solve
 
 
-def _single_site_position(m: SiteMeasurement, params: EkfParams) -> np.ndarray:
-    site = {s.id: s.position for s in params.deployment.sites}[m.site_id]
+def _single_site_position(m: SiteMeasurement, params: EkfParams) -> tuple[float, float]:
+    sx, sy, _ = params.site_xyz[m.site_id]
     # Vehicle sits at site - range * u, with u the unit vector from the
     # vehicle toward the site (the measured arrival direction, reversed).
-    u = np.array(
-        [
-            math.cos(m.aoa_az) * math.cos(m.aoa_el),
-            math.sin(m.aoa_az) * math.cos(m.aoa_el),
-            math.sin(m.aoa_el),
-        ]
+    cos_el = math.cos(m.aoa_el)
+    return (
+        sx - m.range_m * (math.cos(m.aoa_az) * cos_el),
+        sy - m.range_m * (math.sin(m.aoa_az) * cos_el),
     )
-    pos = site - m.range_m * u
-    return pos[:2]
 
 
 def nr_only_position(
@@ -282,44 +285,59 @@ def nr_only_position(
     max_iter: int = 50,
     step_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Per-epoch geometric position from radio measurements alone.
+    """Per-epoch geometric position (x, y) from radio measurements alone.
 
     One site: range/angle intersection. Several: weighted Gauss-Newton over
-    the stacked residuals, initialized from the best-SNR site's intersection.
+    the stacked (range, az, el) residuals of every site, initialized from the
+    best-SNR site's intersection. Each iteration sums the 2x2 normal
+    equations (J^T W^2 J) step = J^T W^2 res in floats and solves them in
+    closed form (no ``lstsq``), with W the inverse noise std of each
+    observable. Raises ``EstimationError`` when the determinant is zero
+    ("singular") or a step is not finite or longer than 1e6 m ("diverged").
     """
     if not frame.per_site:
         raise ConfigurationError("frame has no site measurements")
-    sites = {s.id: s.position for s in params.deployment.sites}
-    xy = _single_site_position(frame.per_site[0], params)
+    x, y = _single_site_position(frame.per_site[0], params)
     if len(frame.per_site) == 1:
-        return xy
+        return np.array([x, y])
 
-    sig_r = max(params.noise.range_sigma(frame.per_site[0].snr_db), params.sigma_floor_m)
-    sig_ang = max(params.noise.angle_sigma(frame.per_site[0].snr_db), params.sigma_floor_rad)
-    w = np.tile([1.0 / sig_r, 1.0 / sig_ang, 1.0 / sig_ang], len(frame.per_site))
+    w_r = 1.0 / max(params.noise.range_sigma(frame.per_site[0].snr_db), params.sigma_floor_m)
+    w_ang = 1.0 / max(params.noise.angle_sigma(frame.per_site[0].snr_db), params.sigma_floor_rad)
+    sites = params.site_xyz
+    meas = [(sites[m.site_id], float(m.range_m), float(m.aoa_az), float(m.aoa_el))
+            for m in frame.per_site]
+    ue_height = params.ue_height
 
     for _ in range(max_iter):
-        res = np.empty(3 * len(frame.per_site))
-        jac = np.empty((3 * len(frame.per_site), 2))
-        for k, m in enumerate(frame.per_site):
-            h, j = _measurement_model(xy, sites[m.site_id], params.ue_height)
-            sl = slice(3 * k, 3 * k + 3)
-            res[sl] = np.array([m.range_m, m.aoa_az, m.aoa_el]) - h
-            jac[sl] = j
-        res[1::3] = _wrap(res[1::3])
-        res[2::3] = _wrap(res[2::3])
-        a = jac * w[:, None]
-        b = res * w
-        try:
-            step, *_ = np.linalg.lstsq(a, b, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError("Gauss-Newton normal equations singular") from exc
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1e6:
+        n00 = n01 = n11 = g0 = g1 = 0.0
+        for site, range_m, az_m, el_m in meas:
+            (r, az, el), (jr, ja, je) = _measurement_model((x, y), site, ue_height)
+            for w, res, (j0, j1) in (
+                (w_r, range_m - r, jr),
+                (w_ang, _wrap(az_m - az), ja),
+                (w_ang, _wrap(el_m - el), je),
+            ):
+                a0 = w * j0
+                a1 = w * j1
+                b = w * res
+                n00 += a0 * a0
+                n01 += a0 * a1
+                n11 += a1 * a1
+                g0 += a0 * b
+                g1 += a1 * b
+        det = n00 * n11 - n01 * n01
+        if det == 0.0:
+            raise EstimationError("Gauss-Newton normal equations singular")
+        sx = (n11 * g0 - n01 * g1) / det
+        sy = (n00 * g1 - n01 * g0) / det
+        step = math.hypot(sx, sy)
+        if not step <= 1e6:  # also catches a NaN step
             raise EstimationError("Gauss-Newton diverged")
-        xy = xy + step
-        if np.linalg.norm(step) < step_tol:
-            return xy
-    return xy
+        x += sx
+        y += sy
+        if step < step_tol:
+            break
+    return np.array([x, y])
 
 
 def nr_only_positions(frames: list[MeasurementFrame], params: EkfParams) -> np.ndarray:

@@ -50,11 +50,12 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _map_tasks(fn, tasks, workers: int) -> list[tuple]:
-    """The rows of every task, in task order."""
+    """The rows of every task, in task order, from a pool no wider than the
+    task list (the fork start method starts every worker at once)."""
     if workers <= 1 or len(tasks) <= 1:
         chunks = [fn(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(fn, tasks))
     return [row for chunk in chunks for row in chunk]
 

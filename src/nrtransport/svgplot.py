@@ -32,16 +32,21 @@ class Series:
             raise ConfigurationError("series needs matching non-empty 1-D x and y")
 
 
+def _top(lo: float, hi: float) -> float:
+    """``hi``, or ``lo + 1`` when the range [lo, hi] is flat: empty, reversed, or
+    narrower than 1e-9 of its magnitude, where a tick step would not advance."""
+    return lo + 1.0 if hi - lo <= 1e-9 * max(abs(lo), abs(hi)) else hi
+
+
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _top(lo, hi)
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw), default=10.0) * mag
     first = math.ceil(lo / step) * step
     out = []
     v = first
-    while v <= hi + 1e-9 * step:
+    while v <= hi + 1e-9 * step and len(out) <= 2 * target:
         out.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return out
@@ -74,10 +79,7 @@ def line_plot(
     xhi = max(float(np.max(s.x)) for s in series)
     ylo = min(float(np.min(s.y)) for s in series)
     yhi = max(float(np.max(s.y)) for s in series)
-    if xhi == xlo:
-        xhi = xlo + 1.0
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    xhi, yhi = _top(xlo, xhi), _top(ylo, yhi)
     pad = 0.04 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 

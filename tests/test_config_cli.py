@@ -299,6 +299,47 @@ def test_float_list_bound_applies_to_each_value():
     assert parse_config("[qos]\nhorizons_s = 0.5, 2\n").params["horizons_s"] == (0.5, 2.0)
 
 
+@pytest.mark.parametrize("study,key,value,bound", [
+    ("positioning", "carrier_hz", "0", "0.0"),
+    ("positioning", "isd_m", "-200", "0.0"),
+    ("positioning", "span_m", "0", "0.0"),
+    ("positioning", "speed_kmh", "-130", "0.0"),
+    ("positioning", "dt_s", "0", "0.0"),
+    ("positioning", "snake_period_m", "0", "0.0"),
+    ("positioning", "nb_fused_bs", "0", "0"),
+    ("positioning", "decimation", "-1", "0"),
+    ("scheduler", "speed_kmh", "0", "0.0"),
+    ("scheduler", "speed_kmh", "-140", "0.0"),
+])
+def test_non_positive_values_rejected_with_key_and_line(study, key, value, bound):
+    message = f"line 4: key '{key}' must be > {bound}, got '{value}'"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_config(f"[{study}]\nseed = 1\n\n{key} = {value}\n")
+
+
+def test_pool_is_no_wider_than_the_task_list(monkeypatch):
+    widths = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    assert runner._map_tasks(lambda t: [t, -t], [1, 2, 3], workers=4096) == [1, -1, 2, -2, 3, -3]
+    assert runner._map_tasks(lambda t: [t], [1, 2, 3, 4], workers=2) == [1, 2, 3, 4]
+    assert runner._map_tasks(lambda t: [t], [1], workers=4096) == [1]
+    assert widths == [3, 2]
+
+
 @pytest.mark.parametrize("study,key,values", [
     ("qos", "horizons_s", "0.1, 0.1"),
     ("positioning", "snr_db", "5, 15, 5.0"),

@@ -218,6 +218,95 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     assert abs(np.median(errs) - oracle_median) / oracle_median < 0.2
 
 
+def _weighted_nls(frame, deployment, params):
+    """Independent oracle: the frame's weighted least-squares fix from scipy,
+    with the solver's weights (1 / noise std of each observable), its angle
+    wrap and its starting point, and the geometry written out in numpy."""
+    site = {s.id: s.position for s in deployment.sites}
+    snr = frame.per_site[0].snr_db
+    w = np.array([1.0 / params.noise.range_sigma(snr)] + [1.0 / params.noise.angle_sigma(snr)] * 2)
+    pos = np.array([site[m.site_id] for m in frame.per_site])
+    z = np.array([[m.range_m, m.aoa_az, m.aoa_el] for m in frame.per_site])
+
+    def resid(xy):
+        d = pos - np.array([xy[0], xy[1], params.ue_height])
+        horiz = np.hypot(d[:, 0], d[:, 1])
+        h = np.column_stack([np.hypot(horiz, d[:, 2]), np.arctan2(d[:, 1], d[:, 0]),
+                             np.arctan2(d[:, 2], horiz)])
+        r = z - h
+        r[:, 1:] = (r[:, 1:] + np.pi) % (2 * np.pi) - np.pi
+        return (r * w).ravel()
+
+    best = frame.per_site[0]
+    u = np.array([np.cos(best.aoa_az) * np.cos(best.aoa_el), np.sin(best.aoa_az) * np.cos(best.aoa_el)])
+    x0 = site[best.site_id][:2] - best.range_m * u
+    return least_squares(resid, x0, jac="3-point", method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_nr_only_matches_weighted_least_squares_oracle(n_sites):
+    deployment, trajectory = _scenario()
+    params = EkfParams(deployment=deployment)
+    gap = 0.0
+    for snr in (5.0, 15.0):
+        frames = simulate_measurements(deployment, trajectory, snr, n_sites, seed=6, decimation=50)
+        for frame in frames:
+            xy = nr_only_position(frame, params)
+            gap = max(gap, float(np.hypot(*(xy - _weighted_nls(frame, deployment, params)))))
+    assert gap < 1e-6
+
+
+def _two_site_frame(deployment, xy=(90.0, 5.0)):
+    from nrtransport.channel import los_observation
+    from nrtransport.positioning import MeasurementFrame, SiteMeasurement
+    from nrtransport.scenario import PoseSample
+
+    pose = PoseSample(t=0.0, position=np.array([xy[0], xy[1], 1.5]),
+                      velocity=np.zeros(3), acceleration=np.zeros(3))
+    per_site = []
+    for sid in (0, 1):
+        obs = los_observation(deployment.sites[sid], pose, 28e9)
+        per_site.append(SiteMeasurement(sid, obs.true_range + 0.1 * sid, *obs.true_aoa, 15.0))
+    return MeasurementFrame(t=0.0, per_site=tuple(per_site), imu_accel=np.zeros(2))
+
+
+def test_diverging_solve_raises_and_is_a_nan_row():
+    import dataclasses
+
+    deployment, _ = _scenario()
+    params = EkfParams(deployment=deployment)
+    good = _two_site_frame(deployment)
+    far = dataclasses.replace(good.per_site[1], range_m=1e300)
+    bad = dataclasses.replace(good, per_site=(good.per_site[0], far))
+    with pytest.raises(EstimationError, match="diverged"):
+        nr_only_position(bad, params)
+    xy = nr_only_positions([good, bad, good], params)
+    assert np.all(np.isnan(xy[1]))
+    assert np.array_equal(xy[0], nr_only_position(good, params))
+    assert np.array_equal(xy[2], xy[0])
+
+
+def test_solve_is_deterministic():
+    deployment, trajectory = _scenario()
+    params = EkfParams(deployment=deployment)
+    frames = simulate_measurements(deployment, trajectory, 5.0, 3, seed=8, decimation=100)
+    for frame in frames:
+        a, b = nr_only_position(frame, params), nr_only_position(frame, params)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("field", ["range_m", "aoa_az", "aoa_el"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_measurement_rejected(field, value):
+    import dataclasses
+
+    deployment, _ = _scenario()
+    good = _two_site_frame(deployment)
+    broken = dataclasses.replace(good.per_site[1], **{field: value})
+    with pytest.raises(ConfigurationError, match="finite"):
+        dataclasses.replace(good, per_site=(good.per_site[0], broken))
+
+
 def test_empirical_cdf_order_statistics():
     cdf = empirical_cdf([0.1, 0.2, 0.3, 0.4])
     assert cdf.prob_at(0.25) == 0.5
