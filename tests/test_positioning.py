@@ -1,5 +1,6 @@
 """Fusion positioning: measurement model, EKF, geometric solve, error CDFs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -256,12 +257,12 @@ def test_nr_only_matches_weighted_least_squares_oracle(n_sites):
     assert gap < 1e-6
 
 
-def _two_site_frame(deployment, xy=(90.0, 5.0)):
+def _two_site_frame(deployment):
     from nrtransport.channel import los_observation
     from nrtransport.positioning import MeasurementFrame, SiteMeasurement
     from nrtransport.scenario import PoseSample
 
-    pose = PoseSample(t=0.0, position=np.array([xy[0], xy[1], 1.5]),
+    pose = PoseSample(t=0.0, position=np.array([90.0, 5.0, 1.5]),
                       velocity=np.zeros(3), acceleration=np.zeros(3))
     per_site = []
     for sid in (0, 1):
@@ -271,8 +272,6 @@ def _two_site_frame(deployment, xy=(90.0, 5.0)):
 
 
 def test_diverging_solve_raises_and_is_a_nan_row():
-    import dataclasses
-
     deployment, _ = _scenario()
     params = EkfParams(deployment=deployment)
     good = _two_site_frame(deployment)
@@ -298,8 +297,6 @@ def test_solve_is_deterministic():
 @pytest.mark.parametrize("field", ["range_m", "aoa_az", "aoa_el"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_measurement_rejected(field, value):
-    import dataclasses
-
     deployment, _ = _scenario()
     good = _two_site_frame(deployment)
     broken = dataclasses.replace(good.per_site[1], **{field: value})
