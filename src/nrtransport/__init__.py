@@ -16,7 +16,6 @@ from .channel import (
     combined_freq_response,
     default_rail_profile,
     hst_taps,
-    los_observation,
     macro_pathgain,
 )
 from .config import RunConfig, load_config, parse_config

@@ -6,7 +6,6 @@ highway scheduler.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,36 +21,29 @@ SPEED_OF_LIGHT = 299_792_458.0
 # Line-of-sight geometry
 
 
-@dataclass(frozen=True)
-class LosObservation:
-    true_range: float  # m
-    true_aod: tuple[float, float]  # (az, el) at the site toward the vehicle, rad
-    true_aoa: tuple[float, float]  # (az, el) at the vehicle toward the site, rad
-    doppler: float  # Hz, positive when closing
+def los_geometry(site_positions: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-path geometry of every (sample, site) link.
 
-
-def _angles(direction: np.ndarray) -> tuple[float, float]:
-    az = math.atan2(direction[1], direction[0])
-    el = math.atan2(direction[2], math.hypot(direction[0], direction[1]))
-    return az, el
-
-
-def los_observation(site: Site, pose, carrier_hz: float) -> LosObservation:
-    """Range, departure/arrival angles, and Doppler for a direct path.
-
-    Doppler is (v . u) f_c / c with u the unit vector from the vehicle toward
-    the site, i.e. positive while the vehicle closes on the site.
+    ``site_positions`` has shape (sites, 3) and ``positions`` (samples, 3).
+    Returns the vehicle-minus-site vectors, shape (samples, sites, 3), and
+    the ranges, shape (samples, sites). Raises ``GeometryError`` when a
+    vehicle position coincides with a site.
     """
-    delta = np.asarray(pose.position, dtype=float) - site.position
-    rng = float(np.linalg.norm(delta))
-    if rng == 0.0:
+    delta = positions[:, None, :] - site_positions[None, :, :]
+    dist = np.linalg.norm(delta, axis=-1)
+    if np.any(dist == 0.0):
         raise GeometryError("vehicle coincides with site")
-    u_site_to_ue = delta / rng
-    aod = _angles(u_site_to_ue)
-    aoa = _angles(-u_site_to_ue)
-    v = np.asarray(pose.velocity, dtype=float)
-    doppler = float(v @ (-u_site_to_ue)) * carrier_hz / SPEED_OF_LIGHT
-    return LosObservation(true_range=rng, true_aod=aod, true_aoa=aoa, doppler=doppler)
+    return delta, dist
+
+
+def azimuth(v: np.ndarray) -> np.ndarray:
+    """Azimuth of each vector along the last axis, rad."""
+    return np.arctan2(v[..., 1], v[..., 0])
+
+
+def elevation(v: np.ndarray) -> np.ndarray:
+    """Elevation above the horizontal plane of each vector along the last axis, rad."""
+    return np.arctan2(v[..., 2], np.hypot(v[..., 0], v[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +65,13 @@ class ChannelTaps:
         if np.any(d < 0) or np.any(np.diff(d) < 0):
             raise ConfigurationError("tap delays must be non-negative and sorted")
 
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.gains) ** 2))
-
 
 @dataclass(frozen=True)
 class TapProfile:
     """Relative tap table: delays in ns, powers in dB, angle offsets in degrees.
 
     Angle offsets are relative to the LoS direction; exactly one row should be
-    flagged as the LoS tap. Loadable from a plain-text table with columns
-    ``delay_ns power_db aod_deg aoa_deg los_flag``.
+    flagged as the LoS tap.
     """
 
     delay_ns: np.ndarray
@@ -115,33 +102,6 @@ class TapProfile:
         mean = float(p @ self.delay_ns)
         return math.sqrt(float(p @ (self.delay_ns - mean) ** 2))
 
-    @classmethod
-    def from_text(cls, text: str) -> "TapProfile":
-        rows = []
-        for lineno, raw in enumerate(io.StringIO(text), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if parts[0] == "delay_ns":  # optional header
-                continue
-            if len(parts) != 5:
-                raise ConfigurationError(f"tap table line {lineno}: expected 5 columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ConfigurationError(f"tap table line {lineno}: {exc}") from exc
-        if not rows:
-            raise ConfigurationError("tap table has no rows")
-        arr = np.array(rows)
-        return cls(
-            delay_ns=arr[:, 0],
-            power_db=arr[:, 1],
-            aod_deg=arr[:, 2],
-            aoa_deg=arr[:, 3],
-            los_flag=arr[:, 4].astype(int),
-        )
-
 
 def default_rail_profile() -> TapProfile:
     """LoS tap plus three late reflections (K factor ~13 dB)."""
@@ -154,30 +114,10 @@ def default_rail_profile() -> TapProfile:
     )
 
 
-def los_only_profile() -> TapProfile:
-    return TapProfile(
-        delay_ns=np.array([0.0]),
-        power_db=np.array([0.0]),
-        aod_deg=np.array([0.0]),
-        aoa_deg=np.array([0.0]),
-        los_flag=np.array([1]),
-    )
-
-
-def _los_geometry(site_positions: np.ndarray, positions: np.ndarray):
-    """Per site: vehicle-minus-site vectors, LoS ranges, and unit vectors from
-    the vehicle toward the site."""
-    for site in site_positions:
-        delta = positions - site
-        dist = np.linalg.norm(delta, axis=1)
-        if np.any(dist == 0.0):
-            raise GeometryError("vehicle coincides with site")
-        yield delta, dist, -delta / dist[:, None]
-
-
 def _tap_azimuths(direction: np.ndarray, offsets_deg: np.ndarray) -> np.ndarray:
-    """Azimuth of each (sample, tap): the direction's azimuth rotated by the tap offset."""
-    return np.arctan2(direction[:, 1], direction[:, 0])[:, None] + np.radians(offsets_deg)[None, :]
+    """Azimuth of each tap: the direction's azimuth rotated by the tap offset
+    (a new last axis over taps)."""
+    return azimuth(direction)[..., None] + np.radians(offsets_deg)
 
 
 @dataclass(frozen=True)
@@ -201,14 +141,14 @@ class TapArrays:
     @property
     def aoa(self) -> np.ndarray:
         """Arrival azimuths at the vehicle, rad."""
-        geometry = _los_geometry(self.site_positions, self.positions)
-        return np.stack([_tap_azimuths(u, self.profile.aoa_deg) for _, _, u in geometry], axis=1)
+        delta, _ = los_geometry(self.site_positions, self.positions)
+        return _tap_azimuths(-delta, self.profile.aoa_deg)
 
     @property
     def aod(self) -> np.ndarray:
         """Departure azimuths at the site, rad."""
-        geometry = _los_geometry(self.site_positions, self.positions)
-        return np.stack([_tap_azimuths(d, self.profile.aod_deg) for d, _, _ in geometry], axis=1)
+        delta, _ = los_geometry(self.site_positions, self.positions)
+        return _tap_azimuths(delta, self.profile.aod_deg)
 
 
 def tdl_taps(
@@ -236,8 +176,12 @@ def tdl_taps(
         profile=profile, site_positions=site_positions, positions=positions,
         delays=np.empty(shape), dopplers=np.empty(shape), amps=np.empty(shape), phases=np.zeros(shape),
     )
-    for k, (_, dist, u_to_site) in enumerate(_los_geometry(site_positions, positions)):
-        tau_los = dist / SPEED_OF_LIGHT
+    for k, site in enumerate(site_positions):
+        # One site at a time: the vectors of every site at once would add to
+        # the builder's peak memory, which its output arrays already set.
+        delta, dist = los_geometry(site[None], positions)
+        u_to_site = -delta[:, 0] / dist
+        tau_los = dist[:, 0] / SPEED_OF_LIGHT
         los_dop = np.einsum("ij,ij->i", velocities, u_to_site) * carrier_hz / SPEED_OF_LIGHT
         aoa = _tap_azimuths(u_to_site, profile.aoa_deg)
         arrival = np.empty(aoa.shape + (2,))  # filled in place: no stacked temporaries

@@ -28,8 +28,11 @@ from .channel import (
     SPEED_OF_LIGHT,
     SectorPattern,
     TapProfile,
+    azimuth,
     batched_freq_response,
     default_rail_profile,
+    elevation,
+    los_geometry,
     tdl_taps,
 )
 from .errors import ConfigurationError
@@ -183,18 +186,13 @@ def _link_gains_lin(deployment: Deployment, positions: np.ndarray, params: HstLi
 
     Absolute scale is arbitrary; the SNR anchor fixes the noise power.
     """
-    out = np.empty((len(positions), len(deployment.sites)))
-    for k, site in enumerate(deployment.sites):
-        delta = positions - site.position
-        dist = np.linalg.norm(delta, axis=1)
-        az = np.arctan2(delta[:, 1], delta[:, 0]) - site.boresight_azimuth
-        d2d = np.hypot(delta[:, 0], delta[:, 1])
-        depression = np.arctan2(site.position[2] - positions[:, 2], d2d)
-        el_off = depression - site.downtilt
-        g_db = params.pattern.gain_db(az, el_off)
-        ref = SPEED_OF_LIGHT / (4.0 * math.pi * params.carrier_hz)
-        out[:, k] = ref**2 * dist ** (-params.pathloss_exponent) * 10.0 ** (g_db / 10.0)
-    return out
+    delta, dist = los_geometry(deployment.site_positions(), positions)
+    boresight = np.array([site.boresight_azimuth for site in deployment.sites])
+    downtilt = np.array([site.downtilt for site in deployment.sites])
+    # Elevation offset: the depression of the vehicle below the site, minus the downtilt.
+    g_db = params.pattern.gain_db(azimuth(delta) - boresight, -elevation(delta) - downtilt)
+    ref = SPEED_OF_LIGHT / (4.0 * math.pi * params.carrier_hz)
+    return ref**2 * dist ** (-params.pathloss_exponent) * 10.0 ** (g_db / 10.0)
 
 
 def _codeblock_slices(n_data_symbols: int, n_codeblocks: int) -> list[slice]:

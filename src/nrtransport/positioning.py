@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, los_observation
+from .channel import SPEED_OF_LIGHT, azimuth, elevation, los_geometry
 from .errors import ConfigurationError, EstimationError, NumericalError
 from .rng import substream
 from .scenario import Deployment, PoseSample, Trajectory
@@ -85,7 +85,13 @@ def simulate_measurements(
     noise: NoiseModel | None = None,
     decimation: int = 1,
 ) -> list[MeasurementFrame]:
-    """One frame per (decimated) trajectory epoch from the nearest sites."""
+    """One frame per (decimated) trajectory epoch from the nearest sites.
+
+    The true ranges and arrival angles of every epoch come from one
+    :func:`channel.los_geometry` call; the noise is one block of normal
+    draws, frame by frame in the order range, az, el per site (each only when
+    its sigma is non-zero), then the two IMU axes.
+    """
     if n_fused_bs < 1:
         raise ConfigurationError("n_fused_bs must be at least 1")
     if n_fused_bs > len(deployment.sites):
@@ -97,29 +103,23 @@ def simulate_measurements(
     sigma_ang = noise.angle_sigma(snr_db)
     rng = substream(seed, "positioning", "meas")
 
-    site_pos = deployment.site_positions()
+    idx = np.arange(0, len(trajectory), decimation)
+    delta, dist = los_geometry(deployment.site_positions(), trajectory.position[idx])
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :n_fused_bs]
+    to_site = -np.take_along_axis(delta, nearest[:, :, None], axis=1)
+    truth = np.stack([np.take_along_axis(dist, nearest, axis=1), azimuth(to_site), elevation(to_site)], axis=-1)
+    # Columns: (range, az, el) per site, then the IMU acceleration (x, y).
+    obs = np.concatenate([truth.reshape(len(idx), -1), trajectory.acceleration[idx, :2]], axis=1)
+    scales = np.array([sigma_r, sigma_ang, sigma_ang] * n_fused_bs + [noise.imu_accel_sigma] * 2)
+    drawn = scales != 0.0
+    obs[:, drawn] += rng.normal(0.0, scales[drawn], size=(len(idx), int(np.count_nonzero(drawn))))
+
+    site_ids = [site.id for site in deployment.sites]
     frames = []
-    for i in range(0, len(trajectory), decimation):
-        pose = trajectory.sample(i)
-        d = np.linalg.norm(site_pos - pose.position, axis=1)
-        nearest = np.argsort(d, kind="stable")[:n_fused_bs]
-        per_site = []
-        for k in nearest:
-            site = deployment.sites[int(k)]
-            obs = los_observation(site, pose, carrier_hz)
-            per_site.append(
-                SiteMeasurement(
-                    site_id=site.id,
-                    range_m=obs.true_range + rng.normal(0.0, sigma_r) if sigma_r else obs.true_range,
-                    aoa_az=obs.true_aoa[0] + (rng.normal(0.0, sigma_ang) if sigma_ang else 0.0),
-                    aoa_el=obs.true_aoa[1] + (rng.normal(0.0, sigma_ang) if sigma_ang else 0.0),
-                    snr_db=snr_db,
-                )
-            )
-        accel = pose.acceleration[:2].copy()
-        if noise.imu_accel_sigma:
-            accel = accel + rng.normal(0.0, noise.imu_accel_sigma, 2)
-        frames.append(MeasurementFrame(t=pose.t, per_site=tuple(per_site), imu_accel=accel))
+    for i, (t, row) in enumerate(zip(trajectory.t[idx].tolist(), obs.tolist())):
+        per_site = tuple(SiteMeasurement(site_ids[k], *row[3 * j:3 * j + 3], snr_db=snr_db)
+                         for j, k in enumerate(nearest[i].tolist()))
+        frames.append(MeasurementFrame(t=t, per_site=per_site, imu_accel=obs[i, -2:]))
     return frames
 
 
@@ -134,13 +134,6 @@ class StateEstimate:
     t: float
     mean: np.ndarray
     covariance: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.covariance, dtype=float)
-        if p.shape != (4, 4) or np.max(np.abs(p - p.T)) > 1e-12:
-            raise ConfigurationError("covariance must be symmetric 4x4")
-        if np.any(np.linalg.eigvalsh(p) <= 0):
-            raise ConfigurationError("covariance must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -186,12 +179,21 @@ def ekf_fuse(
     initial: StateEstimate,
     params: EkfParams,
 ) -> list[StateEstimate]:
-    """Fuse IMU acceleration (control input) with stacked per-site residuals."""
+    """Fuse IMU acceleration (control input) with stacked per-site residuals.
+
+    The initial covariance must be a symmetric positive-definite 4x4 matrix
+    (``ConfigurationError``); every epoch's covariance is checked again
+    (``NumericalError`` naming the epoch).
+    """
     if not frames:
         raise ConfigurationError("no measurement frames")
     sites = params.site_xyz
     x = np.asarray(initial.mean, dtype=float).copy()
     p = np.asarray(initial.covariance, dtype=float).copy()
+    if p.shape != (4, 4) or np.max(np.abs(p - p.T)) > 1e-12:
+        raise ConfigurationError("initial covariance must be symmetric 4x4")
+    if np.any(np.linalg.eigvalsh(p) <= 0):
+        raise ConfigurationError("initial covariance must be positive definite")
     t_prev = initial.t
     out = []
     for epoch, frame in enumerate(frames):
@@ -293,7 +295,9 @@ def nr_only_position(
     equations (J^T W^2 J) step = J^T W^2 res in floats and solves them in
     closed form (no ``lstsq``), with W the inverse noise std of each
     observable. Raises ``EstimationError`` when the determinant is zero
-    ("singular") or a step is not finite or longer than 1e6 m ("diverged").
+    ("singular"), a step is not finite or longer than 1e6 m ("diverged"), or
+    no step is shorter than ``step_tol`` within ``max_iter`` iterations ("did
+    not converge").
     """
     if not frame.per_site:
         raise ConfigurationError("frame has no site measurements")
@@ -336,8 +340,8 @@ def nr_only_position(
         x += sx
         y += sy
         if step < step_tol:
-            break
-    return np.array([x, y])
+            return np.array([x, y])
+    raise EstimationError("Gauss-Newton did not converge")
 
 
 def nr_only_positions(frames: list[MeasurementFrame], params: EkfParams) -> np.ndarray:

@@ -73,12 +73,6 @@ class ThroughputTrace:
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch_s,delivered_bits\n")
-            for b in self.delivered_bits:
-                fh.write(f"{self.epoch_s!r},{int(b)}\n")
-
 
 def window_bits(trace: ThroughputTrace, t, dt: float):
     """Bits delivered in [t, t + dt]: the cumulative curve at t + dt minus at t.

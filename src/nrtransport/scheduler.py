@@ -18,6 +18,11 @@ from .errors import ConfigurationError
 from .rng import substream
 from .scenario import KMH, Deployment
 
+# Upper bound on the expected Poisson file arrivals of one cell. Every arrival
+# gets a row in the per-user columns, drawn at once, and the slot loop is
+# linear in the users present; the default heaviest point expects about 1,000.
+MAX_EXPECTED_ARRIVALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -147,6 +152,11 @@ def simulate_cell(
     area_km2 = (2.0 * half_span / 1000.0) * params.area_width_km
     offered_bps = traffic.density_mbps_km2 * 1e6 * area_km2
     lam = offered_bps / traffic.file_size_bits  # files per second
+    if lam * duration > MAX_EXPECTED_ARRIVALS:
+        raise ConfigurationError(
+            f"{traffic.density_mbps_km2:g} Mbps/km2 over {duration:g} s expects {lam * duration:.3g} "
+            f"file arrivals in the cell, more than {MAX_EXPECTED_ARRIVALS:,}"
+        )
     n_arrivals = int(rng.poisson(lam * duration)) if lam > 0 else 0
     arrival_t = np.sort(rng.uniform(0.0, duration, n_arrivals))
     direction = np.where(rng.random(n_arrivals) < 0.5, 1.0, -1.0)

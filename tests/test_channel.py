@@ -19,13 +19,12 @@ from nrtransport import (
     hst,
     hst_taps,
     linear_trajectory,
-    los_observation,
     macro_pathgain,
 )
 from nrtransport.channel import (
     ChannelTaps,
     TapProfile,
-    los_only_profile,
+    los_geometry,
     tdl_taps,
 )
 from nrtransport.errors import ConfigurationError, GeometryError
@@ -42,35 +41,49 @@ def _pose(position, velocity):
     )
 
 
+def _los_profile():
+    """One LoS tap: a link's only Doppler is the direct path's."""
+    zero = np.array([0.0])
+    return TapProfile(delay_ns=zero, power_db=zero, aod_deg=zero, aoa_deg=zero, los_flag=np.array([1]))
+
+
+def _los_doppler(site_position, position, velocity, carrier_hz):
+    taps = tdl_taps(
+        np.array([site_position], dtype=float), np.array([position], dtype=float),
+        np.array([velocity], dtype=float), _los_profile(), carrier_hz, np.ones((1, 1)),
+    )
+    return float(taps.dopplers[0, 0, 0])
+
+
 def test_static_vehicle_range_and_zero_doppler():
-    site = Site(id=0, position=np.array([0.0, 40.0, 10.0]))
-    obs = los_observation(site, _pose([0, 0, 1.5], [0, 0, 0]), 28e9)
-    assert abs(obs.true_range - math.hypot(40.0, 8.5)) < 1e-9
-    assert obs.doppler == 0.0
+    site = np.array([0.0, 40.0, 10.0])
+    delta, dist = los_geometry(site[None], np.array([[0.0, 0.0, 1.5]]))
+    assert delta.shape == (1, 1, 3) and dist.shape == (1, 1)
+    assert np.array_equal(delta[0, 0], [0.0, -40.0, -8.5])
+    assert abs(dist[0, 0] - math.hypot(40.0, 8.5)) < 1e-9
+    assert _los_doppler(site, [0, 0, 1.5], [0, 0, 0], 28e9) == 0.0
 
 
 def test_doppler_zero_at_closest_approach():
     # Velocity along x, site displaced purely in y/z: v is orthogonal to LoS.
-    site = Site(id=0, position=np.array([100.0, 40.0, 10.0]))
-    obs = los_observation(site, _pose([100, 0, 1.5], [36.111, 0, 0]), 28e9)
-    assert abs(obs.doppler) < 1e-9
+    assert abs(_los_doppler([100.0, 40.0, 10.0], [100, 0, 1.5], [36.111, 0, 0], 28e9)) < 1e-9
 
 
 def test_head_on_doppler_magnitude_and_sign():
-    site = Site(id=0, position=np.array([1000.0, 0.0, 1.5]))
+    site = [1000.0, 0.0, 1.5]
     v = 500 / 3.6
-    closing = los_observation(site, _pose([0, 0, 1.5], [v, 0, 0]), 2e9)
-    receding = los_observation(site, _pose([0, 0, 1.5], [-v, 0, 0]), 2e9)
+    closing = _los_doppler(site, [0, 0, 1.5], [v, 0, 0], 2e9)
+    receding = _los_doppler(site, [0, 0, 1.5], [-v, 0, 0], 2e9)
     expected = v * 2e9 / SPEED_OF_LIGHT
-    assert abs(closing.doppler - expected) < 1e-6
+    assert abs(closing - expected) < 1e-6
     assert abs(expected - 926.2) < 1.0
-    assert abs(receding.doppler + expected) < 1e-6
+    assert abs(receding + expected) < 1e-6
 
 
 def test_coincident_site_and_vehicle_rejected():
-    site = Site(id=0, position=np.array([0.0, 0.0, 1.5]))
+    sites = np.array([[0.0, 0.0, 1.5], [200.0, 0.0, 1.5]])
     with pytest.raises(GeometryError):
-        los_observation(site, _pose([0, 0, 1.5], [1, 0, 0]), 2e9)
+        los_geometry(sites, np.array([[50.0, 0.0, 1.5], [200.0, 0.0, 1.5]]))
 
 
 def test_tap_power_normalization():
@@ -79,7 +92,7 @@ def test_tap_power_normalization():
         site, _pose([0, 0, 1.5], [138.9, 0, 0]), default_rail_profile(),
         carrier_hz=2e9, link_power=0.37, rng=substream(1, "t"),
     )
-    assert abs(taps.total_power - 0.37) < 1e-12
+    assert abs(np.sum(np.abs(taps.gains) ** 2) - 0.37) < 1e-12
     assert np.all(np.diff(taps.delays) >= 0)
 
 
@@ -96,7 +109,7 @@ def test_tap_doppler_never_exceeds_kinematic_limit():
 def test_los_only_profile_single_tap_doppler():
     site = Site(id=0, position=np.array([1000.0, 0.0, 1.5]))
     v = 500 / 3.6
-    taps = hst_taps(site, _pose([0, 0, 1.5], [v, 0, 0]), los_only_profile(), carrier_hz=2e9)
+    taps = hst_taps(site, _pose([0, 0, 1.5], [v, 0, 0]), _los_profile(), carrier_hz=2e9)
     assert len(taps.delays) == 1
     assert abs(taps.dopplers[0] - v * 2e9 / SPEED_OF_LIGHT) < 1e-6
 
@@ -167,18 +180,15 @@ def test_tap_builder_rejects_vehicle_at_site():
         )
 
 
-def test_tap_table_round_trip_and_errors():
-    text = """# delay_ns power_db aod_deg aoa_deg los_flag
-    0.0   0.0   0.0   0.0  1
-    30.0 -15.8 110.0 110.0 0
-    """
-    profile = TapProfile.from_text(text)
-    assert len(profile) == 2
-    assert profile.los_flag[0] == 1
-    with pytest.raises(ConfigurationError):
-        TapProfile.from_text("0.0 0.0 0.0 1\n")  # four columns
-    with pytest.raises(ConfigurationError):
-        TapProfile.from_text("0.0 0.0 0.0 0.0 0\n")  # no LoS tap
+def test_tap_profile_needs_exactly_one_los_tap():
+    one = np.array([0.0])
+    with pytest.raises(ConfigurationError, match="empty"):
+        TapProfile(delay_ns=one[:0], power_db=one[:0], aod_deg=one[:0], aoa_deg=one[:0], los_flag=one[:0])
+    with pytest.raises(ConfigurationError, match="exactly one LoS"):
+        TapProfile(delay_ns=one, power_db=one, aod_deg=one, aoa_deg=one, los_flag=np.array([0]))
+    two = np.array([0.0, 30.0])
+    with pytest.raises(ConfigurationError, match="exactly one LoS"):
+        TapProfile(delay_ns=two, power_db=two, aod_deg=two, aoa_deg=two, los_flag=np.array([1, 1]))
 
 
 def _two_ray(doppler_hz, cdd_s=0.0):

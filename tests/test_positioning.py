@@ -20,12 +20,16 @@ from nrtransport import (
     nr_only_position,
     nr_only_positions,
     positioning,
+    runner,
     simulate_measurements,
     snake_trajectory,
 )
+from nrtransport.channel import azimuth, elevation, los_geometry
+from nrtransport.config import parse_config
 from nrtransport.errors import ConfigurationError, EstimationError
-from nrtransport.positioning import StateEstimate
+from nrtransport.positioning import MeasurementFrame, SiteMeasurement, StateEstimate
 from nrtransport.rng import substream
+from nrtransport.scenario import PoseSample
 
 
 def _scenario(span=1000.0):
@@ -34,6 +38,12 @@ def _scenario(span=1000.0):
     )
     trajectory = snake_trajectory(130, span, 3.5, 500, 0.01)
     return deployment, trajectory
+
+
+def _truth(site, position):
+    """(range, az, el) of the direct path, az/el seen from the vehicle toward the site."""
+    delta, dist = los_geometry(site.position[None], np.asarray(position, dtype=float)[None])
+    return float(dist[0, 0]), float(azimuth(-delta[0, 0])), float(elevation(-delta[0, 0]))
 
 
 def test_range_noise_scales_with_snr():
@@ -65,16 +75,31 @@ def test_noise_free_measurements_match_geometry():
     frames = simulate_measurements(
         deployment, trajectory, float("inf"), 2, seed=1, noise=noise, decimation=50
     )
-    from nrtransport.channel import los_observation
-
     for frame in frames[:5]:
         idx = int(round(frame.t / 0.01))
         pose = trajectory.sample(idx)
         for m in frame.per_site:
-            obs = los_observation(deployment.sites[m.site_id], pose, 28e9)
-            assert abs(m.range_m - obs.true_range) < 1e-9
-            assert abs(m.aoa_az - obs.true_aoa[0]) < 1e-12
+            r, az, el = _truth(deployment.sites[m.site_id], pose.position)
+            assert abs(m.range_m - r) < 1e-9
+            assert abs(m.aoa_az - az) < 1e-12
+            assert abs(m.aoa_el - el) < 1e-12
         assert np.allclose(frame.imu_accel, pose.acceleration[:2])
+
+
+def test_measurement_model_matches_los_geometry():
+    # The estimators' scalar model and the array truth geometry are the two
+    # geometry implementations; they must agree on any pose.
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        site = rng.uniform([-500.0, -100.0, 0.0], [500.0, 100.0, 40.0])
+        xy = rng.uniform(-500.0, 500.0, 2)
+        height = rng.uniform(0.5, 3.0)
+        (r, az, el), _ = positioning._measurement_model(xy, site, height)
+        delta, dist = los_geometry(site[None], np.array([[xy[0], xy[1], height]]))
+        to_site = -delta[0, 0]
+        assert abs(r - dist[0, 0]) < 1e-12 * max(1.0, r)
+        assert abs(az - azimuth(to_site)) < 1e-12
+        assert abs(el - elevation(to_site)) < 1e-12
 
 
 def test_measurement_validation():
@@ -130,18 +155,7 @@ def test_ekf_matches_batch_least_squares_on_noise_free_data():
 
 def test_covariance_contracts_on_repeated_static_updates():
     deployment, _ = _scenario()
-    from nrtransport.channel import los_observation
-    from nrtransport.positioning import MeasurementFrame, SiteMeasurement
-    from nrtransport.scenario import PoseSample
-
-    pose = PoseSample(
-        t=0.0, position=np.array([100.0, 0.0, 1.5]),
-        velocity=np.zeros(3), acceleration=np.zeros(3),
-    )
-    per_site = []
-    for sid in (0, 1):
-        obs = los_observation(deployment.sites[sid], pose, 28e9)
-        per_site.append(SiteMeasurement(sid, obs.true_range, *obs.true_aoa, 15.0))
+    per_site = [SiteMeasurement(sid, *_truth(deployment.sites[sid], [100.0, 0.0, 1.5]), 15.0) for sid in (0, 1)]
     frames = [
         MeasurementFrame(t=0.01 * i, per_site=tuple(per_site), imu_accel=np.zeros(2))
         for i in range(50)
@@ -178,16 +192,12 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     # range: the solve is a direct geometric inversion, so its error equals
     # the error of the perturbed intersection point. Compare medians.
     deployment, _ = _scenario()
-    from nrtransport.channel import los_observation
-    from nrtransport.positioning import MeasurementFrame, SiteMeasurement
-    from nrtransport.scenario import PoseSample
-
     site = deployment.sites[0]
     pose = PoseSample(
         t=0.0, position=np.array([90.0, 5.0, 1.5]),
         velocity=np.zeros(3), acceleration=np.zeros(3),
     )
-    obs = los_observation(site, pose, 28e9)
+    true_range, true_az, true_el = _truth(site, pose.position)
     sigma_r, sigma_a = 0.5, math.radians(1.0)
     params = EkfParams(deployment=deployment)
 
@@ -197,9 +207,9 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     daz = rng.normal(0, sigma_a, n)
     del_ = rng.normal(0, sigma_a, n)
     # Monte-Carlo oracle: propagate the same perturbations analytically.
-    r = obs.true_range + dr
-    az = obs.true_aoa[0] + daz
-    el = obs.true_aoa[1] + del_
+    r = true_range + dr
+    az = true_az + daz
+    el = true_el + del_
     x = site.position[0] - r * np.cos(az) * np.cos(el)
     y = site.position[1] - r * np.sin(az) * np.cos(el)
     oracle_median = np.median(np.hypot(x - pose.position[0], y - pose.position[1]))
@@ -209,9 +219,9 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     for _ in range(2000):
         m = SiteMeasurement(
             site.id,
-            obs.true_range + rng.normal(0, sigma_r),
-            obs.true_aoa[0] + rng.normal(0, sigma_a),
-            obs.true_aoa[1] + rng.normal(0, sigma_a),
+            true_range + rng.normal(0, sigma_r),
+            true_az + rng.normal(0, sigma_a),
+            true_el + rng.normal(0, sigma_a),
             15.0,
         )
         frame = MeasurementFrame(t=0.0, per_site=(m,), imu_accel=np.zeros(2))
@@ -258,16 +268,10 @@ def test_nr_only_matches_weighted_least_squares_oracle(n_sites):
 
 
 def _two_site_frame(deployment):
-    from nrtransport.channel import los_observation
-    from nrtransport.positioning import MeasurementFrame, SiteMeasurement
-    from nrtransport.scenario import PoseSample
-
-    pose = PoseSample(t=0.0, position=np.array([90.0, 5.0, 1.5]),
-                      velocity=np.zeros(3), acceleration=np.zeros(3))
     per_site = []
     for sid in (0, 1):
-        obs = los_observation(deployment.sites[sid], pose, 28e9)
-        per_site.append(SiteMeasurement(sid, obs.true_range + 0.1 * sid, *obs.true_aoa, 15.0))
+        r, az, el = _truth(deployment.sites[sid], [90.0, 5.0, 1.5])
+        per_site.append(SiteMeasurement(sid, r + 0.1 * sid, az, el, 15.0))
     return MeasurementFrame(t=0.0, per_site=tuple(per_site), imu_accel=np.zeros(2))
 
 
@@ -283,6 +287,20 @@ def test_diverging_solve_raises_and_is_a_nan_row():
     assert np.all(np.isnan(xy[1]))
     assert np.array_equal(xy[0], nr_only_position(good, params))
     assert np.array_equal(xy[2], xy[0])
+
+
+def test_oscillating_solve_raises_and_is_a_nan_row():
+    # Sites on the road axis: the second site's azimuth sits near +-pi, and
+    # this frame's Gauss-Newton steps jump across the wrap for all max_iter
+    # iterations instead of converging.
+    p = parse_config("[positioning]\nlateral_offset_m = 0\nspan_m = 2000\n").params
+    deployment, trajectory = runner._positioning_scenario(p)
+    frames = simulate_measurements(deployment, trajectory, 15.0, 2, 1, decimation=10)
+    (frame,) = [f for f in frames if abs(f.t - 47.9) < 1e-9]
+    params = EkfParams(deployment=deployment)
+    with pytest.raises(EstimationError, match="did not converge"):
+        nr_only_position(frame, params)
+    assert np.all(np.isnan(nr_only_positions([frame], params)))
 
 
 def test_solve_is_deterministic():
@@ -302,6 +320,18 @@ def test_non_finite_measurement_rejected(field, value):
     broken = dataclasses.replace(good.per_site[1], **{field: value})
     with pytest.raises(ConfigurationError, match="finite"):
         dataclasses.replace(good, per_site=(good.per_site[0], broken))
+
+
+def test_ekf_rejects_initial_covariance_not_positive_definite():
+    deployment, trajectory = _scenario()
+    frames = simulate_measurements(deployment, trajectory, 15.0, 2, seed=4, decimation=100)
+    params = EkfParams(deployment=deployment)
+    mean = np.array([0.0, 0.0, 36.0, 0.0])
+    for cov, match in ((np.diag([1.0, 1.0, 1.0, 0.0]), "positive definite"),
+                       (np.eye(4) + np.eye(4, k=1), "symmetric"),
+                       (np.eye(3), "symmetric")):
+        with pytest.raises(ConfigurationError, match=match):
+            ekf_fuse(frames, StateEstimate(t=0.0, mean=mean, covariance=cov), params)
 
 
 def test_empirical_cdf_order_statistics():

@@ -1,6 +1,7 @@
 """Macro-cell scheduler: drop-policy partition, round-robin service, sweep behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nrtransport import (
     mean_user_throughput,
     simulate_cell,
 )
+from nrtransport.cli import main as cli_main
 from nrtransport.errors import ConfigurationError
 from nrtransport.scheduler import _rate_bps, _snr_db, deferred_mask
 
@@ -167,3 +169,19 @@ def test_censored_median_counts_unfinished_transfers():
     ]
     stats = simulate_cell(_deployment(), traffic, DropPolicy(0.0), 5.0, 1, params, initial_users=users)
     assert median_file_time(stats) == pytest.approx(5.0)
+
+
+def test_unbounded_arrivals_rejected_before_drawing(tmp_path, capsys):
+    # 1e12 Mbps/km2 expects about 1.7e6 arrivals in 1 ms; without the bound
+    # the default 200 s would ask numpy for gigabytes.
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("[scheduler]\ndensities_mbps_km2 = 1e12\ndrop_fractions = 0\nduration_s = 0.001\n")
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "configuration error:" in capsys.readouterr().err
+    assert peak < 1_000_000
