@@ -8,14 +8,10 @@ throughput-prediction error analysis. Everything is reproducible from a
 
 from .channel import (
     SPEED_OF_LIGHT,
-    ChannelTaps,
-    FreqResponse,
     MacroParams,
     SectorPattern,
     TapProfile,
-    combined_freq_response,
     default_rail_profile,
-    hst_taps,
     macro_pathgain,
 )
 from .config import RunConfig, load_config, parse_config
@@ -59,7 +55,6 @@ from .rng import substream
 from .runner import VERSION as __version__, RunManifest, run
 from .scenario import (
     Deployment,
-    PoseSample,
     ScenarioKind,
     Site,
     Trajectory,

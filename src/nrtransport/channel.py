@@ -51,22 +51,6 @@ def elevation(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChannelTaps:
-    """One tapped-delay-line realization for a single link."""
-
-    delays: np.ndarray  # s, sorted ascending
-    dopplers: np.ndarray  # Hz
-    gains: np.ndarray  # complex
-    aod: np.ndarray  # rad (azimuth offsets)
-    aoa: np.ndarray  # rad
-
-    def __post_init__(self):
-        d = np.asarray(self.delays, dtype=float)
-        if np.any(d < 0) or np.any(np.diff(d) < 0):
-            raise ConfigurationError("tap delays must be non-negative and sorted")
-
-
-@dataclass(frozen=True)
 class TapProfile:
     """Relative tap table: delays in ns, powers in dB, angle offsets in degrees.
 
@@ -76,7 +60,6 @@ class TapProfile:
 
     delay_ns: np.ndarray
     power_db: np.ndarray
-    aod_deg: np.ndarray
     aoa_deg: np.ndarray
     los_flag: np.ndarray
 
@@ -108,16 +91,9 @@ def default_rail_profile() -> TapProfile:
     return TapProfile(
         delay_ns=np.array([0.0, 30.0, 70.0, 150.0]),
         power_db=np.array([0.0, -15.8, -18.0, -21.0]),
-        aod_deg=np.array([0.0, 110.0, 75.0, 150.0]),
         aoa_deg=np.array([0.0, 110.0, 75.0, 150.0]),
         los_flag=np.array([1, 0, 0, 0]),
     )
-
-
-def _tap_azimuths(direction: np.ndarray, offsets_deg: np.ndarray) -> np.ndarray:
-    """Azimuth of each tap: the direction's azimuth rotated by the tap offset
-    (a new last axis over taps)."""
-    return azimuth(direction)[..., None] + np.radians(offsets_deg)
 
 
 @dataclass(frozen=True)
@@ -126,29 +102,13 @@ class TapArrays:
 
     The tap arrays have shape (samples, sites, taps), taps in profile order.
     Only the LoS phase is set; non-LoS phases are left at 0 for the caller to
-    draw. The tap angles are evaluated on access, so a sweep that never reads
-    them never holds them.
+    draw.
     """
 
-    profile: TapProfile
-    site_positions: np.ndarray  # (sites, 3)
-    positions: np.ndarray  # (samples, 3)
     delays: np.ndarray  # s
     dopplers: np.ndarray  # Hz
     amps: np.ndarray  # linear amplitude; squares sum to the link gain
     phases: np.ndarray  # rad
-
-    @property
-    def aoa(self) -> np.ndarray:
-        """Arrival azimuths at the vehicle, rad."""
-        delta, _ = los_geometry(self.site_positions, self.positions)
-        return _tap_azimuths(-delta, self.profile.aoa_deg)
-
-    @property
-    def aod(self) -> np.ndarray:
-        """Departure azimuths at the site, rad."""
-        delta, _ = los_geometry(self.site_positions, self.positions)
-        return _tap_azimuths(delta, self.profile.aod_deg)
 
 
 def tdl_taps(
@@ -159,7 +119,7 @@ def tdl_taps(
     carrier_hz: float,
     link_gains: np.ndarray,
 ) -> TapArrays:
-    """Tap delays, Dopplers, amplitudes, LoS phases and angles of every link.
+    """Tap delays, Dopplers, amplitudes and LoS phases of every link.
 
     ``site_positions`` has shape (sites, 3), ``positions`` and ``velocities``
     (samples, 3), and ``link_gains`` (samples, sites) in linear power. Tap
@@ -173,7 +133,6 @@ def tdl_taps(
     los_idx = int(np.argmax(profile.los_flag))
     shape = (len(positions), len(site_positions), len(profile))
     out = TapArrays(
-        profile=profile, site_positions=site_positions, positions=positions,
         delays=np.empty(shape), dopplers=np.empty(shape), amps=np.empty(shape), phases=np.zeros(shape),
     )
     for k, site in enumerate(site_positions):
@@ -183,7 +142,7 @@ def tdl_taps(
         u_to_site = -delta[:, 0] / dist
         tau_los = dist[:, 0] / SPEED_OF_LIGHT
         los_dop = np.einsum("ij,ij->i", velocities, u_to_site) * carrier_hz / SPEED_OF_LIGHT
-        aoa = _tap_azimuths(u_to_site, profile.aoa_deg)
+        aoa = azimuth(u_to_site)[:, None] + np.radians(profile.aoa_deg)
         arrival = np.empty(aoa.shape + (2,))  # filled in place: no stacked temporaries
         arrival[..., 0] = np.cos(aoa)
         arrival[..., 1] = np.sin(aoa)
@@ -196,62 +155,8 @@ def tdl_taps(
     return out
 
 
-def hst_taps(
-    site: Site,
-    pose,
-    profile: TapProfile,
-    *,
-    carrier_hz: float,
-    link_power: float = 1.0,
-    rng: np.random.Generator | None = None,
-    nlos_phases: np.ndarray | None = None,
-) -> ChannelTaps:
-    """Tapped-delay-line realization for one site/train link.
-
-    One-link view of :func:`tdl_taps`: tap magnitudes follow the profile
-    exactly (so the realized power always sums to ``link_power``); only the
-    non-LoS phases are random, taken from ``nlos_phases`` or drawn from ``rng``.
-    """
-    taps = tdl_taps(
-        site.position[None], np.asarray(pose.position, dtype=float)[None],
-        np.asarray(pose.velocity, dtype=float)[None], profile, carrier_hz,
-        np.array([[link_power]]),
-    )
-    delays, dopplers, amps, phases, aoa, aod = (
-        a[0, 0] for a in (taps.delays, taps.dopplers, taps.amps, taps.phases, taps.aoa, taps.aod)
-    )
-    nlos = ~profile.los_flag.astype(bool)
-    n_nlos = int(np.sum(nlos))
-    if n_nlos:
-        if nlos_phases is not None:
-            phases[nlos] = np.asarray(nlos_phases, dtype=float)[:n_nlos]
-        elif rng is not None:
-            phases[nlos] = rng.uniform(0.0, 2.0 * math.pi, n_nlos)
-        else:
-            raise ConfigurationError("non-LoS taps need rng or nlos_phases")
-    gains = amps * np.exp(1j * phases)
-
-    order = np.argsort(delays, kind="stable")
-    return ChannelTaps(
-        delays=delays[order],
-        dopplers=dopplers[order],
-        gains=gains[order],
-        aod=aod[order],
-        aoa=aoa[order],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Combined OFDM frequency response
-
-
-@dataclass(frozen=True)
-class FreqResponse:
-    h: np.ndarray  # complex, (n_symbols, n_subcarriers)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.h.real)) or not np.all(np.isfinite(self.h.imag)):
-            raise ConfigurationError("frequency response has non-finite entries")
 
 
 def batched_freq_response(
@@ -279,42 +184,6 @@ def batched_freq_response(
         freq_phase = np.exp(-2j * math.pi * (delays[:, k, :, None] * f))
         h += (time_phase * gains[:, None, k, :]) @ freq_phase
     return h
-
-
-def combined_freq_response(
-    taps_per_trp: list[ChannelTaps],
-    cdd_delays: list[float],
-    precomp_shifts: list[float],
-    symbol_times: np.ndarray,
-    subcarrier_freqs: np.ndarray,
-) -> FreqResponse:
-    """Superpose per-TRP tapped-delay-line channels on one OFDM grid.
-
-    H(t, f) = sum_trp sum_tap g exp(j 2 pi (doppler - precomp) t)
-                              exp(-j 2 pi f (delay + cdd)).
-
-    One-slot form of :func:`batched_freq_response`; TRPs with fewer taps are
-    padded with zero-gain taps.
-    """
-    if not (len(taps_per_trp) == len(cdd_delays) == len(precomp_shifts)):
-        raise ConfigurationError("per-TRP lists must have matching lengths")
-    if len(taps_per_trp) < 1:
-        raise ConfigurationError("need at least one TRP")
-    t = np.asarray(symbol_times, dtype=float)
-    f = np.asarray(subcarrier_freqs, dtype=float)
-    n_taps = max(len(taps.delays) for taps in taps_per_trp)
-
-    def stack(rows, dtype):
-        return np.array([np.pad(np.asarray(r, dtype=dtype), (0, n_taps - len(r))) for r in rows])[None]
-
-    h = batched_freq_response(
-        stack([taps.gains for taps in taps_per_trp], complex),
-        stack([taps.delays + cdd for taps, cdd in zip(taps_per_trp, cdd_delays)], float),
-        stack([taps.dopplers - pre for taps, pre in zip(taps_per_trp, precomp_shifts)], float),
-        t[None, :],
-        f,
-    )
-    return FreqResponse(h=h[0])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "snake_amplitude_m": FieldSpec("float", 3.5),
         "snake_period_m": FieldSpec("float", 500.0, above=0.0),
         "dt_s": FieldSpec("float", 0.01, above=0.0),
-        "carrier_hz": FieldSpec("float", 28e9, above=0.0),
         "decimation": FieldSpec("int", 10, above=0),
     },
     "hst": {

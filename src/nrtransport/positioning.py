@@ -17,7 +17,7 @@ import numpy as np
 from .channel import SPEED_OF_LIGHT, azimuth, elevation, los_geometry
 from .errors import ConfigurationError, EstimationError, NumericalError
 from .rng import substream
-from .scenario import Deployment, PoseSample, Trajectory
+from .scenario import Deployment, Trajectory
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ def simulate_measurements(
     n_fused_bs: int,
     seed: int,
     *,
-    carrier_hz: float = 28e9,
     noise: NoiseModel | None = None,
     decimation: int = 1,
 ) -> list[MeasurementFrame]:

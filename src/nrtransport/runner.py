@@ -159,8 +159,7 @@ def _positioning_one(task):
     p, seed, snr = task
     deployment, trajectory = _positioning_scenario(p)
     frames = positioning.simulate_measurements(
-        deployment, trajectory, snr, p["nb_fused_bs"], seed,
-        carrier_hz=p["carrier_hz"], decimation=p["decimation"],
+        deployment, trajectory, snr, p["nb_fused_bs"], seed, decimation=p["decimation"]
     )
     params = positioning.EkfParams(deployment=deployment)
     initial = positioning.initial_state_from_frame(

@@ -77,14 +77,6 @@ class Deployment:
 
 
 @dataclass(frozen=True)
-class PoseSample:
-    t: float
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled vehicle poses; arrays are shaped (n, 3)."""
 
@@ -115,14 +107,6 @@ class Trajectory:
         if not np.all(inside) or np.any(np.abs(self.t[idx] - t) > 1e-9):
             raise ConfigurationError("time has no matching trajectory sample")
         return idx
-
-    def sample(self, i: int) -> PoseSample:
-        return PoseSample(
-            t=float(self.t[i]),
-            position=self.position[i],
-            velocity=self.velocity[i],
-            acceleration=self.acceleration[i],
-        )
 
 
 def build_linear_deployment(

@@ -40,16 +40,10 @@ class TrafficConfig:
 @dataclass(frozen=True)
 class DropPolicy:
     drop_fraction: float = 0.0
-    threshold_mode: str = "quantile"  # or "absolute_db"
-    threshold_db: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.drop_fraction <= 1.0:
             raise ConfigurationError("drop fraction must lie in [0, 1]")
-        if self.threshold_mode not in ("quantile", "absolute_db"):
-            raise ConfigurationError("threshold_mode must be quantile or absolute_db")
-        if self.threshold_mode == "absolute_db" and self.threshold_db is None:
-            raise ConfigurationError("absolute_db mode needs threshold_db")
 
 
 @dataclass(frozen=True)
@@ -91,12 +85,9 @@ class UserRecord:
 def deferred_mask(gains: np.ndarray, ids: np.ndarray, policy: DropPolicy) -> np.ndarray:
     """Which users the policy defers, given their path gains (dB) and ids.
 
-    Absolute mode defers every gain below the threshold. Quantile mode defers
-    the floor(rho * n) users with the lowest gain; ties break by user id so
-    the partition is deterministic.
+    The policy defers the floor(rho * n) users with the lowest gain; ties
+    break by user id so the partition is deterministic.
     """
-    if policy.threshold_mode == "absolute_db":
-        return gains < policy.threshold_db
     deferred = np.zeros(len(gains), dtype=bool)
     n_defer = int(math.floor(policy.drop_fraction * len(gains)))
     if n_defer:
@@ -142,9 +133,10 @@ def simulate_cell(
     Poisson arrivals; each entry is (entry_x_m, direction, shadow_db,
     backlog_bits). Handy for closed-form checks with density 0.
     """
-    if duration <= 0:
-        raise ConfigurationError("duration must be positive")
     params = params or CellParams()
+    n_slots = int(round(duration / params.slot_s))
+    if n_slots < 1:
+        raise ConfigurationError(f"duration {duration:g} s is shorter than one {params.slot_s:g} s slot")
     site = deployment.sites[0]
     half_span = deployment.isd / 2.0 if len(deployment.sites) > 1 else 866.0
 
@@ -191,7 +183,6 @@ def simulate_cell(
     rr_cursor = 0  # round-robin position by user id order
     elig_frac_sum = 0.0
     elig_frac_slots = 0
-    n_slots = int(round(duration / params.slot_s))
     next_arrival = 0
     span = 2.0 * half_span
 

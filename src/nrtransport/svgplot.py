@@ -33,9 +33,11 @@ class Series:
 
 
 def _top(lo: float, hi: float) -> float:
-    """``hi``, or ``lo + 1`` when the range [lo, hi] is flat: empty, reversed, or
-    narrower than 1e-9 of its magnitude, where a tick step would not advance."""
-    return lo + 1.0 if hi - lo <= 1e-9 * max(abs(lo), abs(hi)) else hi
+    """``hi``, or ``lo`` plus max(1, 1e-6 |lo|) when the range [lo, hi] is flat:
+    empty, reversed, or narrower than 1e-9 of its magnitude, where a tick step
+    would not advance. The widening is relative beyond |lo| = 1e6, where
+    ``lo + 1`` would round back to ``lo``."""
+    return lo + max(1.0, 1e-6 * abs(lo)) if hi - lo <= 1e-9 * max(abs(lo), abs(hi)) else hi
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:

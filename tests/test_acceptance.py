@@ -16,7 +16,6 @@ from scipy.optimize import least_squares
 
 from nrtransport import (
     CellParams,
-    ChannelTaps,
     DropPolicy,
     EkfParams,
     Mcs,
@@ -28,7 +27,6 @@ from nrtransport import (
     TrafficConfig,
     build_linear_deployment,
     build_rail_deployment,
-    combined_freq_response,
     density_sweep,
     ekf_fuse,
     empirical_cdf,
@@ -49,6 +47,7 @@ from nrtransport import (
     throughput_vs_position,
     transport_block_size,
 )
+from nrtransport.channel import batched_freq_response
 from nrtransport.hst import HstLinkParams
 from nrtransport.positioning import StateEstimate, _measurement_model
 from nrtransport.rng import substream
@@ -78,7 +77,7 @@ def test_criterion_1_positioning_accuracy():
     results = {}
     for snr in (5.0, 15.0):
         frames = simulate_measurements(
-            deployment, trajectory, snr, 2, seed=1, carrier_hz=28e9, decimation=10
+            deployment, trajectory, snr, 2, seed=1, decimation=10
         )
         initial = initial_state_from_frame(
             frames[0], params, speed_along_road=130 * KMH
@@ -115,17 +114,16 @@ def test_criterion_2_ekf_matches_batch_least_squares():
         deployment, trajectory, float("inf"), 2, seed=3, noise=noise, decimation=10
     )
     params = EkfParams(deployment=deployment, noise=noise)
-    pose0 = trajectory.sample(0)
     initial = StateEstimate(
-        t=pose0.t,
-        mean=np.array([pose0.position[0], pose0.position[1],
-                       pose0.velocity[0], pose0.velocity[1]]),
+        t=float(trajectory.t[0]),
+        mean=np.array([trajectory.position[0, 0], trajectory.position[0, 1],
+                       trajectory.velocity[0, 0], trajectory.velocity[0, 1]]),
         covariance=np.eye(4) * 1e-6,
     )
     estimates = ekf_fuse(frames, initial, params)
 
     sites = {s.id: s.position for s in deployment.sites}
-    guess = pose0.position[:2]
+    guess = trajectory.position[0, :2]
     gap = 0.0
     for frame, est in zip(frames, estimates):
         def resid(xy, frame=frame):
@@ -196,31 +194,32 @@ def test_criterion_3_hst_scheme_ordering():
     )
 
 
-def _midpoint_two_ray(cdd_s):
+# The Doppler of a LoS ray seen head-on at 500 km/h and 2 GHz.
+MIDPOINT_NU = (500.0 / 3.6) * 2e9 / 299792458.0
+
+
+def _midpoint_two_ray(cdd_s, t, f):
     # LoS-only SFN seen from the midpoint between two TRPs: equal amplitudes,
-    # opposite Doppler shifts from the approaching and receding sites.
-    nu = (500.0 / 3.6) * 2e9 / 299792458.0
-    taps = [
-        ChannelTaps(
-            delays=np.array([0.0]), dopplers=np.array([sign * nu]),
-            gains=np.array([1.0 + 0j]), aod=np.zeros(1), aoa=np.zeros(1),
-        )
-        for sign in (+1.0, -1.0)
-    ]
-    return taps, [0.0, cdd_s], nu
+    # opposite Doppler shifts from the approaching and receding sites, and
+    # the CDD as the second TRP's added delay. One slot, two TRPs, one tap
+    # each; returns H (symbols, subcarriers).
+    h = batched_freq_response(
+        np.ones((1, 2, 1), dtype=complex), np.array([[[0.0], [cdd_s]]]),
+        np.array([[[MIDPOINT_NU], [-MIDPOINT_NU]]]), np.asarray(t, dtype=float)[None, :], f,
+    )
+    return h[0]
 
 
 def test_criterion_4a_flat_fade_without_cdd():
-    taps, cdd, nu = _midpoint_two_ray(0.0)
+    nu = MIDPOINT_NU
     f = np.arange(600) * 30e3
     t_null = 1.0 / (4.0 * nu)
-    resp = combined_freq_response(taps, cdd, [0.0, 0.0], np.array([t_null]), f)
-    power = np.abs(resp.h) ** 2
+    power = np.abs(_midpoint_two_ray(0.0, [t_null], f)) ** 2
     deep = np.max(power) <= 4.0 * 1e-6  # every subcarrier >= 60 dB below peak
     t = np.linspace(0.0, 2.0 / nu, 41)
-    resp = combined_freq_response(taps, cdd, [0.0, 0.0], t, f)
+    h = _midpoint_two_ray(0.0, t, f)
     expected = 2.0 * np.abs(np.cos(2 * math.pi * nu * t))
-    exact = np.max(np.abs(np.abs(resp.h) - expected[:, None])) < 1e-9
+    exact = np.max(np.abs(np.abs(h) - expected[:, None])) < 1e-9
     _report(
         "criterion 4a (SFN flat fade)",
         deep and exact,
@@ -229,13 +228,12 @@ def test_criterion_4a_flat_fade_without_cdd():
 
 
 def test_criterion_4b_cdd_fade_fraction():
-    taps, cdd, nu = _midpoint_two_ray(1e-6)
+    nu, cdd = MIDPOINT_NU, 1e-6
     f = np.arange(600) * 30e3
     t = np.linspace(0.0, 2.0 / nu, 41)
-    resp = combined_freq_response(taps, cdd, [0.0, 0.0], t, f)
-    power = np.abs(resp.h) ** 2
+    power = np.abs(_midpoint_two_ray(cdd, t, f)) ** 2
     theta = 2 * math.pi * (2 * nu) * t
-    expected = 2.0 + 2.0 * np.cos(2 * math.pi * f[None, :] * cdd[1] + theta[:, None])
+    expected = 2.0 + 2.0 * np.cos(2 * math.pi * f[None, :] * cdd + theta[:, None])
     exact = np.max(np.abs(power - expected)) < 1e-9
     mean = np.mean(power, axis=1, keepdims=True)
     frac = np.max(np.mean(power < 0.1 * mean, axis=1))

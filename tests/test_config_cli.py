@@ -218,8 +218,7 @@ def test_positioning_errors_are_the_tested_error_path(tiny_runs):
         rows = list(csv.DictReader(fh))
     for snr in p["snr_db"]:
         frames = simulate_measurements(
-            deployment, trajectory, snr, p["nb_fused_bs"], cfg.seed,
-            carrier_hz=p["carrier_hz"], decimation=p["decimation"],
+            deployment, trajectory, snr, p["nb_fused_bs"], cfg.seed, decimation=p["decimation"]
         )
         initial = initial_state_from_frame(frames[0], params, speed_along_road=p["speed_kmh"] * KMH)
         fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
@@ -300,7 +299,6 @@ def test_float_list_bound_applies_to_each_value():
 
 
 @pytest.mark.parametrize("study,key,value,bound", [
-    ("positioning", "carrier_hz", "0", "0.0"),
     ("positioning", "isd_m", "-200", "0.0"),
     ("positioning", "span_m", "0", "0.0"),
     ("positioning", "speed_kmh", "-130", "0.0"),

@@ -29,7 +29,6 @@ from nrtransport.config import parse_config
 from nrtransport.errors import ConfigurationError, EstimationError
 from nrtransport.positioning import MeasurementFrame, SiteMeasurement, StateEstimate
 from nrtransport.rng import substream
-from nrtransport.scenario import PoseSample
 
 
 def _scenario(span=1000.0):
@@ -77,13 +76,12 @@ def test_noise_free_measurements_match_geometry():
     )
     for frame in frames[:5]:
         idx = int(round(frame.t / 0.01))
-        pose = trajectory.sample(idx)
         for m in frame.per_site:
-            r, az, el = _truth(deployment.sites[m.site_id], pose.position)
+            r, az, el = _truth(deployment.sites[m.site_id], trajectory.position[idx])
             assert abs(m.range_m - r) < 1e-9
             assert abs(m.aoa_az - az) < 1e-12
             assert abs(m.aoa_el - el) < 1e-12
-        assert np.allclose(frame.imu_accel, pose.acceleration[:2])
+        assert np.allclose(frame.imu_accel, trajectory.acceleration[idx, :2])
 
 
 def test_measurement_model_matches_los_geometry():
@@ -138,15 +136,14 @@ def test_ekf_matches_batch_least_squares_on_noise_free_data():
         deployment, trajectory, float("inf"), 2, seed=3, noise=noise, decimation=10
     )
     params = EkfParams(deployment=deployment, noise=noise)
-    pose0 = trajectory.sample(0)
     initial = StateEstimate(
-        t=pose0.t,
-        mean=np.array([pose0.position[0], pose0.position[1],
-                       pose0.velocity[0], pose0.velocity[1]]),
+        t=float(trajectory.t[0]),
+        mean=np.array([trajectory.position[0, 0], trajectory.position[0, 1],
+                       trajectory.velocity[0, 0], trajectory.velocity[0, 1]]),
         covariance=np.eye(4) * 1e-6,
     )
     estimates = ekf_fuse(frames, initial, params)
-    oracle = _batch_nls(frames, deployment, params, pose0.position[:2])
+    oracle = _batch_nls(frames, deployment, params, trajectory.position[0, :2])
     gap = max(
         float(np.linalg.norm(est.mean[:2] - xy)) for est, xy in zip(estimates, oracle)
     )
@@ -193,11 +190,8 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     # the error of the perturbed intersection point. Compare medians.
     deployment, _ = _scenario()
     site = deployment.sites[0]
-    pose = PoseSample(
-        t=0.0, position=np.array([90.0, 5.0, 1.5]),
-        velocity=np.zeros(3), acceleration=np.zeros(3),
-    )
-    true_range, true_az, true_el = _truth(site, pose.position)
+    position = np.array([90.0, 5.0, 1.5])
+    true_range, true_az, true_el = _truth(site, position)
     sigma_r, sigma_a = 0.5, math.radians(1.0)
     params = EkfParams(deployment=deployment)
 
@@ -212,7 +206,7 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     el = true_el + del_
     x = site.position[0] - r * np.cos(az) * np.cos(el)
     y = site.position[1] - r * np.sin(az) * np.cos(el)
-    oracle_median = np.median(np.hypot(x - pose.position[0], y - pose.position[1]))
+    oracle_median = np.median(np.hypot(x - position[0], y - position[1]))
 
     rng = substream(11, "solve")
     errs = []
@@ -225,7 +219,7 @@ def test_nr_only_median_matches_monte_carlo_oracle():
             15.0,
         )
         frame = MeasurementFrame(t=0.0, per_site=(m,), imu_accel=np.zeros(2))
-        errs.append(np.linalg.norm(nr_only_position(frame, params) - pose.position[:2]))
+        errs.append(np.linalg.norm(nr_only_position(frame, params) - position[:2]))
     assert abs(np.median(errs) - oracle_median) / oracle_median < 0.2
 
 

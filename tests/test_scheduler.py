@@ -46,19 +46,10 @@ def test_classify_quantile_invariant_to_gain_offset():
     assert _deferred(gains + 17.0, DropPolicy(0.4)) == deferred
 
 
-def test_classify_absolute_threshold_and_reeligibility():
-    policy = DropPolicy(0.5, threshold_mode="absolute_db", threshold_db=-120.0)
-    assert _deferred([-125.0], policy) == [0]
-    # The same user becomes eligible once its gain improves past the threshold.
-    assert _deferred([-115.0], policy) == []
-
-
 def test_classify_validation():
     assert _deferred([], DropPolicy(0.5)) == []
     with pytest.raises(ConfigurationError):
         DropPolicy(1.5)
-    with pytest.raises(ConfigurationError):
-        DropPolicy(0.5, threshold_mode="absolute_db")
 
 
 def _closed_form_rate(gain_db, params):
@@ -172,10 +163,10 @@ def test_censored_median_counts_unfinished_transfers():
 
 
 def test_unbounded_arrivals_rejected_before_drawing(tmp_path, capsys):
-    # 1e12 Mbps/km2 expects about 1.7e6 arrivals in 1 ms; without the bound
-    # the default 200 s would ask numpy for gigabytes.
+    # 1e12 Mbps/km2 expects about 1.7e7 arrivals in one 10 ms slot; without
+    # the bound the default 200 s would ask numpy for gigabytes.
     cfg = tmp_path / "dense.cfg"
-    cfg.write_text("[scheduler]\ndensities_mbps_km2 = 1e12\ndrop_fractions = 0\nduration_s = 0.001\n")
+    cfg.write_text("[scheduler]\ndensities_mbps_km2 = 1e12\ndrop_fractions = 0\nduration_s = 0.01\n")
     tracemalloc.start()
     try:
         code = cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
@@ -183,5 +174,16 @@ def test_unbounded_arrivals_rejected_before_drawing(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert "configuration error:" in capsys.readouterr().err
+    assert "file arrivals in the cell" in capsys.readouterr().err
     assert peak < 1_000_000
+
+
+def test_run_shorter_than_one_slot_exits_1(tmp_path, capsys):
+    # 1 ns is below the 10 ms slot: the cell would run no slot and report
+    # throughput 0 and coverage 1 for users it never saw.
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("[scheduler]\nduration_s = 1e-9\n")
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "shorter than one 0.01 s slot" in err
+    assert not (tmp_path / "out" / "scheduler.csv").exists()

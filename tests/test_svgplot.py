@@ -61,6 +61,16 @@ def test_flat_series_is_drawn_inside_the_plot():
     assert labels and all(re.fullmatch(r"-?[0-9.]+", s) for s in labels)
 
 
+def test_one_point_far_from_zero_has_ticks():
+    # At x = 5e299, lo + 1 == lo: the flat x range must widen with |lo|.
+    with deadline(5):
+        svg = line_plot([Series("one bin", [5e299], [1.0])])
+    texts = ElementTree.fromstring(svg).findall(".//{*}text")
+    x_labels = [t.text for t in texts if t.get("font-size") == "11" and t.get("text-anchor") == "middle"]
+    y_labels = [t.text for t in texts if t.get("text-anchor") == "end"]
+    assert x_labels and y_labels
+
+
 def test_run_with_every_bin_at_the_peak_rate_finishes(tmp_path):
     # All of this short span decodes at the peak rate, so the throughput
     # curve is flat to the last bit; its plot used to loop forever.
