@@ -13,7 +13,6 @@ import numpy as np
 
 from nrtransport import (
     DropPolicy,
-    ScenarioKind,
     TrafficConfig,
     build_linear_deployment,
     density_sweep,
@@ -23,7 +22,7 @@ from nrtransport.rng import substream
 
 
 def main():
-    deployment = build_linear_deployment(1732, 0, 35, 1732, ScenarioKind.HIGHWAY_MACRO)
+    deployment = build_linear_deployment(1732, 0, 35, 1732)
     template = TrafficConfig(0.0, file_size_bits=50 * 8e6)
     densities = (10.0, 450.0, 1000.0, 2000.0, 3000.0)
     points = density_sweep(

@@ -11,7 +11,6 @@ import numpy as np
 
 from nrtransport import (
     EkfParams,
-    ScenarioKind,
     build_linear_deployment,
     ekf_fuse,
     empirical_cdf,
@@ -29,9 +28,7 @@ DT_S = 0.01
 
 
 def main():
-    deployment = build_linear_deployment(
-        200, 40, 10, SPAN_M, ScenarioKind.HIGHWAY_POSITIONING
-    )
+    deployment = build_linear_deployment(200, 40, 10, SPAN_M)
     trajectory = snake_trajectory(130, SPAN_M, 3.5, 500, DT_S)
     params = EkfParams(deployment=deployment)
 

@@ -16,10 +16,10 @@ from nrtransport import (
     Mcs,
     Numerology,
     Scheme,
+    bin_by_position,
     build_rail_deployment,
     linear_trajectory,
     run_hst_sweep,
-    throughput_vs_position,
     transport_block_size,
 )
 
@@ -41,9 +41,9 @@ def main():
         results = run_hst_sweep(
             deployment, trajectory, scheme, numerology, Mcs(), seed=1
         )
-        centers, tput = throughput_vs_position(results, 20.0, numerology.slot_duration)
+        bins = bin_by_position(results, 20.0, numerology.slot_duration)
         row = "".join(
-            f"{tput[np.argmin(np.abs(centers - x))] / 1e6:>11.1f} " for x in probes
+            f"{bins.throughput_bps[np.argmin(np.abs(bins.centers_m - x))] / 1e6:>11.1f} " for x in probes
         )
         print(f"{scheme.name:<14}{row}")
 

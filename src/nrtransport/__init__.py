@@ -8,11 +8,11 @@ throughput-prediction error analysis. Everything is reproducible from a
 
 from .channel import (
     SPEED_OF_LIGHT,
-    MacroParams,
-    SectorPattern,
     TapProfile,
     default_rail_profile,
     macro_pathgain,
+    pathloss_db,
+    sector_gain_db,
 )
 from .config import RunConfig, load_config, parse_config
 from .errors import ConfigurationError, EstimationError, GeometryError, NumericalError
@@ -22,10 +22,10 @@ from .hst import (
     Numerology,
     Scheme,
     SlotResult,
+    bin_by_position,
     bler,
     effective_snr,
     run_hst_sweep,
-    throughput_vs_position,
     transport_block_size,
 )
 from .positioning import (
@@ -45,7 +45,6 @@ from .positioning import (
 )
 from .qos import (
     ThroughputTrace,
-    horizon_cdfs,
     horizon_errors,
     predict,
     prediction_error,
@@ -55,7 +54,6 @@ from .rng import substream
 from .runner import VERSION as __version__, RunManifest, run
 from .scenario import (
     Deployment,
-    ScenarioKind,
     Site,
     Trajectory,
     build_linear_deployment,

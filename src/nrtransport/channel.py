@@ -187,23 +187,20 @@ def batched_freq_response(
 
 
 # ---------------------------------------------------------------------------
-# Macro path gain
+# Macro path gain: log-distance path loss (128.1 + 37.6 log10 d_km style)
+# with lognormal shadowing
+
+MACRO_INTERCEPT_DB = 128.1
+MACRO_EXPONENT = 3.76  # path loss slope is 10*exponent dB per decade
+SHADOW_SIGMA_DB = 8.0
 
 
-@dataclass(frozen=True)
-class MacroParams:
-    """Log-distance path loss (128.1 + 37.6 log10 d_km style) with shadowing."""
-
-    intercept_db: float = 128.1
-    exponent: float = 3.76  # path loss slope is 10*exponent dB per decade
-    shadow_sigma_db: float = 8.0
-
-    def pathloss_db(self, distance_m) -> np.ndarray:
-        d_km = np.asarray(distance_m, dtype=float) / 1000.0
-        return self.intercept_db + 10.0 * self.exponent * np.log10(d_km)
+def pathloss_db(distance_m) -> np.ndarray:
+    d_km = np.asarray(distance_m, dtype=float) / 1000.0
+    return MACRO_INTERCEPT_DB + 10.0 * MACRO_EXPONENT * np.log10(d_km)
 
 
-def macro_pathgain(site: Site, x, params: MacroParams, shadow_db) -> np.ndarray:
+def macro_pathgain(site: Site, x, shadow_db) -> np.ndarray:
     """Path gain in dB (negative) of road positions ``x`` (m, any shape), plus
     the per-user lognormal shadowing ``shadow_db``.
 
@@ -211,31 +208,29 @@ def macro_pathgain(site: Site, x, params: MacroParams, shadow_db) -> np.ndarray:
     is floored at 1 m so a vehicle passing under the mast keeps a finite gain.
     """
     d2d = np.maximum(np.abs(x - site.position[0]), 1.0)
-    return -params.pathloss_db(np.hypot(d2d, site.position[1])) + shadow_db
+    return -pathloss_db(np.hypot(d2d, site.position[1])) + shadow_db
 
 
 # ---------------------------------------------------------------------------
-# Sector antenna pattern (used by the rail link gain model)
+# Sector antenna pattern (used by the rail link gain model): a parabolic
+# 3GPP-style element pattern with a side/back-lobe floor
+
+SECTOR_PEAK_GAIN_DBI = 20.5
+SECTOR_AZ_3DB_DEG = 65.0
+SECTOR_EL_3DB_DEG = 15.0
+SECTOR_BACKOFF_DB = 25.0
 
 
-@dataclass(frozen=True)
-class SectorPattern:
-    """Parabolic 3GPP-style element pattern with a side/back-lobe floor.
+def sector_gain_db(az_off_rad, el_off_rad) -> np.ndarray:
+    """Gain in dBi at azimuth and elevation offsets from boresight.
 
     The site carries fore/aft panel pairs along the boresight axis, as is
     common for track-side deployments: the azimuth offset is folded into
     [0, 90 deg].
     """
-
-    peak_gain_dbi: float = 20.5
-    az_3db_deg: float = 65.0
-    el_3db_deg: float = 15.0
-    backoff_db: float = 25.0
-
-    def gain_db(self, az_off_rad, el_off_rad) -> np.ndarray:
-        az = np.abs(np.asarray(az_off_rad, dtype=float))
-        az = np.minimum(az, math.pi - az)
-        el = np.asarray(el_off_rad, dtype=float)
-        a_az = np.minimum(12.0 * (np.degrees(az) / self.az_3db_deg) ** 2, self.backoff_db)
-        a_el = np.minimum(12.0 * (np.degrees(el) / self.el_3db_deg) ** 2, self.backoff_db)
-        return self.peak_gain_dbi - np.minimum(a_az + a_el, self.backoff_db)
+    az = np.abs(np.asarray(az_off_rad, dtype=float))
+    az = np.minimum(az, math.pi - az)
+    el = np.asarray(el_off_rad, dtype=float)
+    a_az = np.minimum(12.0 * (np.degrees(az) / SECTOR_AZ_3DB_DEG) ** 2, SECTOR_BACKOFF_DB)
+    a_el = np.minimum(12.0 * (np.degrees(el) / SECTOR_EL_3DB_DEG) ** 2, SECTOR_BACKOFF_DB)
+    return SECTOR_PEAK_GAIN_DBI - np.minimum(a_az + a_el, SECTOR_BACKOFF_DB)

@@ -51,22 +51,22 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
     "hst": {
         "scheme": FieldSpec("str", "all", ("SFN", "SFN_CDD", "SFN_PRECOMP", "DPS", "all")),
-        "isd_m": FieldSpec("float", 700.0),
+        "isd_m": FieldSpec("float", 700.0, above=0.0),
         "track_offset_m": FieldSpec("float", 10.0),
-        "speed_kmh": FieldSpec("float", 500.0),
-        "span_m": FieldSpec("float", 2100.0),
+        "speed_kmh": FieldSpec("float", 500.0, above=0.0),
+        "span_m": FieldSpec("float", 2100.0, above=0.0),
         "anchor_snr_db": FieldSpec("float", 16.0),
         "cdd_us": FieldSpec("float", 1.0),
-        "esm_beta": FieldSpec("float", 5.0),
-        "max_harq_retx": FieldSpec("int", 3),
+        "esm_beta": FieldSpec("float", 5.0, above=0.0),
+        "max_harq_retx": FieldSpec("int", 3, above=-1),
         "bin_m": FieldSpec("float", 20.0, above=0.0),
     },
     "scheduler": {
         "densities_mbps_km2": FieldSpec("float_list", (10.0, 450.0, 1000.0, 2000.0, 3000.0)),
         "drop_fractions": FieldSpec("float_list", (0.0, 0.5)),
-        "duration_s": FieldSpec("float", 200.0),
-        "isd_m": FieldSpec("float", 1732.0),
-        "file_size_mb": FieldSpec("float", 50.0),
+        "duration_s": FieldSpec("float", 200.0, above=0.0),
+        "isd_m": FieldSpec("float", 1732.0, above=0.0),
+        "file_size_mb": FieldSpec("float", 50.0, above=0.0),
         "speed_kmh": FieldSpec("float", 140.0, above=0.0),
     },
     "qos": {
@@ -75,7 +75,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "trace_csv": FieldSpec("str", ""),
         "ma_windows": FieldSpec("int", 4, above=0),
         "ar1_lambda": FieldSpec("float", 0.5, above=0.0, at_most=1.0),
-        "trace_repeats": FieldSpec("int", 20),
+        "trace_repeats": FieldSpec("int", 20, above=0),
         "trace_epoch_s": FieldSpec("float", 0.05, above=0.0),
     },
 }

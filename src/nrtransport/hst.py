@@ -19,20 +19,19 @@ walked in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .channel import (
     SPEED_OF_LIGHT,
-    SectorPattern,
-    TapProfile,
     azimuth,
     batched_freq_response,
     default_rail_profile,
     elevation,
     los_geometry,
+    sector_gain_db,
     tdl_taps,
 )
 from .errors import ConfigurationError
@@ -43,6 +42,14 @@ from .scenario import Deployment, Trajectory
 # sampled subcarriers, 10.4 kB per slot) each complex chunk array stays under
 # about 0.5 MB, so memory does not grow with the length of the sweep.
 SLOT_CHUNK = 32
+
+CARRIER_HZ = 2e9
+PATHLOSS_EXPONENT = 2.5
+PROFILE = default_rail_profile()
+CODEBLOCK_BITS = 8448  # max code block size; sets TB segmentation
+SUBCARRIER_STEP = 12  # SINR sampled once per RB in the sweep
+BLER_MARGIN_DB = 2.0  # BLER threshold above the Shannon limit of the MCS
+BLER_SLOPE_DB = 0.5
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,6 @@ class SlotResult:
     ``harq_attempts_used`` consecutive slots."""
 
     slot_index: int
-    scheme: Scheme
     train_x: float
     delivered_bits: int
     harq_attempts_used: int
@@ -119,11 +125,15 @@ def transport_block_size(numerology: Numerology, mcs: Mcs, overhead_symbols: int
 def _esm_db(sinr_rows: np.ndarray, beta: float) -> np.ndarray:
     """Exponential effective-SNR mapping of each row of REs, in dB."""
     means = np.mean(np.exp(-sinr_rows / beta), axis=-1)
-    snrs = [-beta * math.log(m) if m else None for m in means.tolist()]
-    if None in snrs:  # a row whose every exp(-g/beta) underflowed: shift by its g_min
-        for i in np.flatnonzero(means == 0.0):
-            g_min = float(np.min(sinr_rows[i]))
-            snrs[i] = g_min - beta * math.log(float(np.mean(np.exp(-(sinr_rows[i] - g_min) / beta))))
+    snrs = [-beta * math.log(m) if m and abs(m - 1.0) >= 1e-3 else None for m in means.tolist()]
+    if None in snrs:
+        for i in [i for i, snr in enumerate(snrs) if snr is None]:
+            row = sinr_rows[i]
+            if means[i] == 0.0:  # every exp(-g/beta) underflowed: shift by the row's g_min
+                g_min = float(np.min(row))
+                snrs[i] = g_min - beta * math.log(float(np.mean(np.exp(-(row - g_min) / beta))))
+            else:  # the mean is so near 1 that log(mean) would lose a tiny SNR
+                snrs[i] = -beta * math.log1p(float(np.mean(np.expm1(-row / beta))))
     return np.array([10.0 * math.log10(max(snr, 1e-300)) for snr in snrs])
 
 
@@ -135,23 +145,19 @@ def effective_snr(sinr_linear, beta: float = 1.0) -> float:
     return float(_esm_db(g[None, :], beta)[0])
 
 
-@dataclass(frozen=True)
-class BlerParams:
-    margin_db: float = 2.0
-    slope_db: float = 0.5
-    threshold_db: float | None = None  # derived from the MCS when None
-
-    def threshold_for(self, mcs: Mcs) -> float:
-        if self.threshold_db is not None:
-            return self.threshold_db
-        # Shannon threshold of the MCS spectral efficiency plus margin.
-        return 10.0 * math.log10(2.0 ** mcs.spectral_efficiency - 1.0) + self.margin_db
+def bler_threshold_db(mcs: Mcs) -> float:
+    """Shannon threshold of the MCS spectral efficiency plus BLER_MARGIN_DB."""
+    return 10.0 * math.log10(2.0 ** mcs.spectral_efficiency - 1.0) + BLER_MARGIN_DB
 
 
-def bler(snr_eff_db, mcs: Mcs, params: BlerParams | None = None):
-    """Logistic block error probability, elementwise over an array of SNRs."""
-    params = params or BlerParams()
-    z = (np.asarray(snr_eff_db, dtype=float) - params.threshold_for(mcs)) / params.slope_db
+def bler(snr_eff_db, mcs: Mcs, threshold_db: float | None = None):
+    """Logistic block error probability, elementwise over an array of SNRs.
+
+    The curve is 0.5 at ``threshold_db``, by default ``bler_threshold_db(mcs)``.
+    """
+    if threshold_db is None:
+        threshold_db = bler_threshold_db(mcs)
+    z = (np.asarray(snr_eff_db, dtype=float) - threshold_db) / BLER_SLOPE_DB
     e = np.exp(-np.abs(z))  # never overflows
     p = np.where(z > 0, e / (1.0 + e), 1.0 / (1.0 + e))
     return float(p) if p.ndim == 0 else p
@@ -159,18 +165,12 @@ def bler(snr_eff_db, mcs: Mcs, params: BlerParams | None = None):
 
 @dataclass(frozen=True)
 class HstLinkParams:
-    carrier_hz: float = 2e9
     anchor_snr_db: float = 16.0  # SFN-combined SNR at train position x = 0
     esm_beta: float = 5.0
-    bler: BlerParams = field(default_factory=BlerParams)
+    bler_threshold_db: float | None = None  # from the MCS when None
     max_harq_retx: int = 3
     cdd_delay_s: float = 1e-6  # applied to every second TRP
-    pathloss_exponent: float = 2.5
     overhead_symbols: int = 1
-    codeblock_bits: int = 8448  # max code block size; sets TB segmentation
-    subcarrier_step: int = 12  # SINR sampled once per RB in the sweep
-    pattern: SectorPattern = field(default_factory=SectorPattern)
-    profile: TapProfile = field(default_factory=default_rail_profile)
 
     def __post_init__(self):
         if not self.esm_beta > 0:
@@ -181,18 +181,18 @@ class HstLinkParams:
             raise ConfigurationError(f"CDD delay must be >= 0, got {self.cdd_delay_s} s")
 
 
-def _link_gains_lin(deployment: Deployment, positions: np.ndarray, params: HstLinkParams) -> np.ndarray:
+def _link_gains_lin(deployment: Deployment, positions: np.ndarray) -> np.ndarray:
     """Per-slot, per-TRP link power gain (free space x antenna pattern), linear.
 
     Absolute scale is arbitrary; the SNR anchor fixes the noise power.
     """
     delta, dist = los_geometry(deployment.site_positions(), positions)
-    boresight = np.array([site.boresight_azimuth for site in deployment.sites])
     downtilt = np.array([site.downtilt for site in deployment.sites])
-    # Elevation offset: the depression of the vehicle below the site, minus the downtilt.
-    g_db = params.pattern.gain_db(azimuth(delta) - boresight, -elevation(delta) - downtilt)
-    ref = SPEED_OF_LIGHT / (4.0 * math.pi * params.carrier_hz)
-    return ref**2 * dist ** (-params.pathloss_exponent) * 10.0 ** (g_db / 10.0)
+    # Boresight is +x, so the azimuth offset is the azimuth. Elevation offset:
+    # the depression of the vehicle below the site, minus the downtilt.
+    g_db = sector_gain_db(azimuth(delta), -elevation(delta) - downtilt)
+    ref = SPEED_OF_LIGHT / (4.0 * math.pi * CARRIER_HZ)
+    return ref**2 * dist ** (-PATHLOSS_EXPONENT) * 10.0 ** (g_db / 10.0)
 
 
 def _codeblock_slices(n_data_symbols: int, n_codeblocks: int) -> list[slice]:
@@ -222,29 +222,28 @@ def run_hst_sweep(
     if abs(trajectory.sample_period - numerology.slot_duration) > 1e-12:
         raise ConfigurationError("trajectory sample period must equal the slot duration")
 
-    gains_lin = _link_gains_lin(deployment, trajectory.position, params)
+    gains_lin = _link_gains_lin(deployment, trajectory.position)
     ch = tdl_taps(
-        deployment.site_positions(), trajectory.position, trajectory.velocity,
-        params.profile, params.carrier_hz, gains_lin,
+        deployment.site_positions(), trajectory.position, trajectory.velocity, PROFILE, CARRIER_HZ, gains_lin,
     )
     n_slots, n_trp, _ = ch.delays.shape
-    nlos = ~params.profile.los_flag.astype(bool)
+    nlos = ~PROFILE.los_flag.astype(bool)
     if np.any(nlos):
         for k in range(n_trp):
             rng = substream(seed, "hst", scheme.value, "phase", k)
             ch.phases[:, k, nlos] = rng.uniform(0.0, 2.0 * math.pi, (n_slots, int(np.sum(nlos))))
-    los_dopplers = ch.dopplers[:, :, int(np.argmax(params.profile.los_flag))]
+    los_dopplers = ch.dopplers[:, :, int(np.argmax(PROFILE.los_flag))]
 
     # Noise power from the SNR anchor: SFN-combined power at x = 0.
     noise = float(np.sum(gains_lin[0])) / 10.0 ** (params.anchor_snr_db / 10.0)
 
     tbs = transport_block_size(numerology, mcs, params.overhead_symbols)
     n_data_symbols = numerology.symbols_per_slot - params.overhead_symbols
-    n_cb = max(1, math.ceil(tbs / params.codeblock_bits))
+    n_cb = max(1, math.ceil(tbs / CODEBLOCK_BITS))
     cb_slices = _codeblock_slices(n_data_symbols, n_cb)
 
     sym_t_rel = (np.arange(n_data_symbols) + 0.5) * numerology.symbol_duration
-    freqs = numerology.subcarrier_freqs(params.subcarrier_step)
+    freqs = numerology.subcarrier_freqs(SUBCARRIER_STEP)
     best_trp = np.argmax(gains_lin, axis=1)[:, None, None]
 
     cdd = np.zeros(n_trp)
@@ -303,12 +302,12 @@ def run_hst_sweep(
             for ci, sl in enumerate(cb_slices):
                 eff = _esm_db(sinr[:, sl, :].reshape(hi - lo, -1), params.esm_beta)
                 first_eff = np.minimum(first_eff, eff)
-                failed |= draw[lo:hi, ci] < bler(eff, mcs, params.bler)
+                failed |= draw[lo:hi, ci] < bler(eff, mcs, params.bler_threshold_db)
             yield from zip(sinr, first_eff.tolist(), (~failed).tolist())
 
     def decoded(acc: np.ndarray, s: int) -> bool:
         return all(
-            draw[s, ci] >= bler(effective_snr(acc[sl], params.esm_beta), mcs, params.bler)
+            draw[s, ci] >= bler(effective_snr(acc[sl], params.esm_beta), mcs, params.bler_threshold_db)
             for ci, sl in enumerate(cb_slices)
         )
 
@@ -327,7 +326,6 @@ def run_hst_sweep(
         results.append(
             SlotResult(
                 slot_index=start,
-                scheme=scheme,
                 train_x=float(trajectory.position[start, 0]),
                 delivered_bits=tbs if ok else 0,
                 harq_attempts_used=attempts,
@@ -369,15 +367,3 @@ def bin_by_position(results: list[SlotResult], bin_m: float, slot_duration: floa
         ))
     return PositionBins(*(np.array(col) for col in zip(*rows)))
 
-
-def throughput_vs_position(
-    results: list[SlotResult],
-    bin_m: float,
-    slot_duration: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delivered bits per second of air time, averaged in position bins.
-
-    Returns (bin_centers_m, throughput_bps); empty bins are dropped.
-    """
-    bins = bin_by_position(results, bin_m, slot_duration)
-    return bins.centers_m, bins.throughput_bps

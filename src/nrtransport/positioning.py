@@ -17,7 +17,20 @@ import numpy as np
 from .channel import SPEED_OF_LIGHT, azimuth, elevation, los_geometry
 from .errors import ConfigurationError, EstimationError, NumericalError
 from .rng import substream
-from .scenario import Deployment, Trajectory
+from .scenario import UE_HEIGHT_M, Deployment, Trajectory
+
+EFF_BANDWIDTH_HZ = 400e6  # positioning reference signal bandwidth
+ANGLE_SNR_COEFF_RAD = 0.02  # angle std at 0 dB SNR, before quantization
+# Floors on the noise std the filter and the solver weight by.
+SIGMA_FLOOR_M = 1e-6
+SIGMA_FLOOR_RAD = 1e-9
+PROCESS_JITTER = 1e-12  # added to the covariance diagonal every epoch
+INITIAL_POS_SIGMA_M = 5.0
+INITIAL_VEL_SIGMA_MPS = 2.0
+# Gauss-Newton stops when a step is shorter than GN_STEP_TOL metres and
+# fails after GN_MAX_ITER iterations.
+GN_MAX_ITER = 50
+GN_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,23 +42,21 @@ class NoiseModel:
     term (root-sum-square). The IMU reports acceleration with white noise.
     """
 
-    eff_bandwidth_hz: float = 400e6
     angle_grid_step_rad: float = 0.125  # 16-column half-wavelength DFT grid
-    angle_snr_coeff_rad: float = 0.02
     imu_accel_sigma: float = 0.05  # m/s^2 per axis
 
     def range_sigma(self, snr_db: float) -> float:
         if math.isinf(snr_db):
             return 0.0
         snr = 10.0 ** (snr_db / 10.0)
-        return SPEED_OF_LIGHT / (2.0 * self.eff_bandwidth_hz * math.sqrt(2.0 * snr))
+        return SPEED_OF_LIGHT / (2.0 * EFF_BANDWIDTH_HZ * math.sqrt(2.0 * snr))
 
     def angle_sigma(self, snr_db: float) -> float:
         quant = self.angle_grid_step_rad / math.sqrt(12.0)
         if math.isinf(snr_db):
             gauss = 0.0
         else:
-            gauss = self.angle_snr_coeff_rad / math.sqrt(10.0 ** (snr_db / 10.0))
+            gauss = ANGLE_SNR_COEFF_RAD / math.sqrt(10.0 ** (snr_db / 10.0))
         return math.hypot(quant, gauss)
 
 
@@ -139,10 +150,6 @@ class StateEstimate:
 class EkfParams:
     deployment: Deployment
     noise: NoiseModel = field(default_factory=NoiseModel)
-    ue_height: float = 1.5
-    process_jitter: float = 1e-12
-    sigma_floor_m: float = 1e-6
-    sigma_floor_rad: float = 1e-9
 
     @cached_property
     def site_xyz(self) -> dict[int, tuple[float, float, float]]:
@@ -150,13 +157,13 @@ class EkfParams:
         return {s.id: tuple(float(v) for v in s.position) for s in self.deployment.sites}
 
 
-def _measurement_model(state_xy, site_pos, ue_height: float):
+def _measurement_model(state_xy, site_pos):
     """Predicted ``(range, az, el)`` toward a site and its Jacobian rows wrt
     (x, y), ``((dr/dx, dr/dy), (daz/dx, daz/dy), (del/dx, del/dy))``, as float
     tuples."""
     dx = site_pos[0] - state_xy[0]
     dy = site_pos[1] - state_xy[1]
-    dz = site_pos[2] - ue_height
+    dz = site_pos[2] - UE_HEIGHT_M
     d2 = math.hypot(dx, dy)
     r = math.sqrt(d2 * d2 + dz * dz)
     az = math.atan2(dy, dx)
@@ -221,10 +228,10 @@ def ekf_fuse(
             pred = np.empty(3 * n)
             jac = np.zeros((3 * n, 4))
             r_diag = np.empty(3 * n)
-            sig_r = max(params.noise.range_sigma(frame.per_site[0].snr_db), params.sigma_floor_m)
-            sig_ang = max(params.noise.angle_sigma(frame.per_site[0].snr_db), params.sigma_floor_rad)
+            sig_r = max(params.noise.range_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_M)
+            sig_ang = max(params.noise.angle_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_RAD)
             for k, m in enumerate(frame.per_site):
-                h, j = _measurement_model(x[:2], sites[m.site_id], params.ue_height)
+                h, j = _measurement_model(x[:2], sites[m.site_id])
                 sl = slice(3 * k, 3 * k + 3)
                 z[sl] = (m.range_m, m.aoa_az, m.aoa_el)
                 pred[sl] = h
@@ -242,7 +249,7 @@ def ekf_fuse(
             ikh = np.eye(4) - gain @ jac
             p = ikh @ p @ ikh.T + gain @ np.diag(r_diag) @ gain.T
 
-        p = 0.5 * (p + p.T) + params.process_jitter * np.eye(4)
+        p = 0.5 * (p + p.T) + PROCESS_JITTER * np.eye(4)
         if np.any(np.linalg.eigvalsh(p) <= 0):
             raise NumericalError("covariance lost positive definiteness", epoch=epoch)
         out.append(StateEstimate(t=frame.t, mean=x.copy(), covariance=p.copy()))
@@ -254,13 +261,11 @@ def initial_state_from_frame(
     params: EkfParams,
     *,
     speed_along_road: float = 0.0,
-    pos_sigma: float = 5.0,
-    vel_sigma: float = 2.0,
 ) -> StateEstimate:
     """Seed the filter from the first frame's single-site geometric solve."""
     x, y = _single_site_position(frame.per_site[0], params)
     mean = np.array([x, y, speed_along_road, 0.0])
-    cov = np.diag([pos_sigma**2, pos_sigma**2, vel_sigma**2, vel_sigma**2])
+    cov = np.diag([INITIAL_POS_SIGMA_M**2] * 2 + [INITIAL_VEL_SIGMA_MPS**2] * 2)
     return StateEstimate(t=frame.t, mean=mean, covariance=cov)
 
 
@@ -279,13 +284,7 @@ def _single_site_position(m: SiteMeasurement, params: EkfParams) -> tuple[float,
     )
 
 
-def nr_only_position(
-    frame: MeasurementFrame,
-    params: EkfParams,
-    *,
-    max_iter: int = 50,
-    step_tol: float = 1e-9,
-) -> np.ndarray:
+def nr_only_position(frame: MeasurementFrame, params: EkfParams) -> np.ndarray:
     """Per-epoch geometric position (x, y) from radio measurements alone.
 
     One site: range/angle intersection. Several: weighted Gauss-Newton over
@@ -295,8 +294,8 @@ def nr_only_position(
     closed form (no ``lstsq``), with W the inverse noise std of each
     observable. Raises ``EstimationError`` when the determinant is zero
     ("singular"), a step is not finite or longer than 1e6 m ("diverged"), or
-    no step is shorter than ``step_tol`` within ``max_iter`` iterations ("did
-    not converge").
+    no step is shorter than ``GN_STEP_TOL`` within ``GN_MAX_ITER`` iterations
+    ("did not converge").
     """
     if not frame.per_site:
         raise ConfigurationError("frame has no site measurements")
@@ -304,17 +303,16 @@ def nr_only_position(
     if len(frame.per_site) == 1:
         return np.array([x, y])
 
-    w_r = 1.0 / max(params.noise.range_sigma(frame.per_site[0].snr_db), params.sigma_floor_m)
-    w_ang = 1.0 / max(params.noise.angle_sigma(frame.per_site[0].snr_db), params.sigma_floor_rad)
+    w_r = 1.0 / max(params.noise.range_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_M)
+    w_ang = 1.0 / max(params.noise.angle_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_RAD)
     sites = params.site_xyz
     meas = [(sites[m.site_id], float(m.range_m), float(m.aoa_az), float(m.aoa_el))
             for m in frame.per_site]
-    ue_height = params.ue_height
 
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         n00 = n01 = n11 = g0 = g1 = 0.0
         for site, range_m, az_m, el_m in meas:
-            (r, az, el), (jr, ja, je) = _measurement_model((x, y), site, ue_height)
+            (r, az, el), (jr, ja, je) = _measurement_model((x, y), site)
             for w, res, (j0, j1) in (
                 (w_r, range_m - r, jr),
                 (w_ang, _wrap(az_m - az), ja),
@@ -338,7 +336,7 @@ def nr_only_position(
             raise EstimationError("Gauss-Newton diverged")
         x += sx
         y += sy
-        if step < step_tol:
+        if step < GN_STEP_TOL:
             return np.array([x, y])
     raise EstimationError("Gauss-Newton did not converge")
 

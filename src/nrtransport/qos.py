@@ -2,7 +2,8 @@
 
 The error metric is |B_delivered - B_predicted| / dt in bits per second,
 evaluated for pluggable baseline predictors over sliding windows at several
-horizons, and summarized as empirical CDFs.
+horizons; the study summarizes each horizon as an empirical CDF
+(``positioning.empirical_cdf``).
 
 A trace keeps the cumulative bits at its epoch boundaries. Between two
 boundaries the cumulative curve is linear, so the bits delivered in
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .positioning import ErrorCdf, empirical_cdf
 
 # Largest number of windows summed in one window_bits call of the ar1 chains,
 # which bounds its memory when many chains are needed.
@@ -209,12 +209,3 @@ def horizon_errors(
     predicted = _predictions(trace, starts, horizon_s, method, ma_windows, ar1_lambda)
     return prediction_error(window_bits(trace, starts, horizon_s), predicted, horizon_s)
 
-
-def horizon_cdfs(
-    trace: ThroughputTrace,
-    horizons,
-    method: str = "last_window",
-    **kwargs,
-) -> list[ErrorCdf]:
-    """Empirical prediction-error CDF per horizon."""
-    return [empirical_cdf(horizon_errors(trace, h, method, **kwargs)) for h in horizons]

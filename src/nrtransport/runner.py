@@ -21,11 +21,10 @@ from typing import Callable
 import numpy as np
 
 from . import hst, positioning, qos, scheduler
-from .config import RunConfig
+from .config import SCHEMAS, RunConfig
 from .errors import ConfigurationError
 from .scenario import (
     KMH,
-    ScenarioKind,
     build_linear_deployment,
     build_rail_deployment,
     linear_trajectory,
@@ -144,10 +143,7 @@ def _render(spec: StudySpec, rows: list[tuple]) -> dict[str, str]:
 
 
 def _positioning_scenario(p: dict):
-    deployment = build_linear_deployment(
-        p["isd_m"], p["lateral_offset_m"], p["site_height_m"], p["span_m"],
-        ScenarioKind.HIGHWAY_POSITIONING,
-    )
+    deployment = build_linear_deployment(p["isd_m"], p["lateral_offset_m"], p["site_height_m"], p["span_m"])
     trajectory = snake_trajectory(
         p["speed_kmh"], p["span_m"], p["snake_amplitude_m"], p["snake_period_m"], p["dt_s"]
     )
@@ -234,7 +230,7 @@ def run_hst(config: RunConfig) -> dict[str, str]:
 
 
 def _scheduler_deployment(p: dict):
-    return build_linear_deployment(p["isd_m"], 0.0, 35.0, p["isd_m"], ScenarioKind.HIGHWAY_MACRO)
+    return build_linear_deployment(p["isd_m"], 0.0, 35.0, p["isd_m"])
 
 
 def _scheduler_one(task):
@@ -268,22 +264,24 @@ def run_scheduler(config: RunConfig) -> dict[str, str]:
 
 
 def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qos.ThroughputTrace:
-    """Delivered-bits trace from the rail downlink study, tiled for length.
+    """Delivered-bits trace of the SFN scheme on the default rail downlink
+    study, tiled for length.
 
     The single pass over the track (about 15 s) is repeated so that long
     prediction horizons still have enough evaluable windows.
     """
     if repeats < 1 or epoch_s <= 0:
         raise ConfigurationError("invalid trace parameters")
-    numerology = hst.Numerology()
+    deployment, trajectory, numerology, params = _hst_setup({k: f.default for k, f in SCHEMAS["hst"].items()})
     per_epoch = int(round(epoch_s / numerology.slot_duration))
     if per_epoch < 1 or abs(per_epoch * numerology.slot_duration - epoch_s) > 1e-12:
         raise ConfigurationError("trace epoch must be a multiple of the slot duration")
-    deployment = build_rail_deployment(700.0, 10.0)
-    trajectory = linear_trajectory(500.0, 2100.0, numerology.slot_duration)
-    results = hst.run_hst_sweep(
-        deployment, trajectory, hst.Scheme.SFN, numerology, hst.Mcs(), seed, hst.HstLinkParams()
-    )
+    if per_epoch > len(trajectory):
+        raise ConfigurationError(
+            f"trace epoch {epoch_s:g} s is longer than the "
+            f"{len(trajectory) * numerology.slot_duration:g} s rail pass"
+        )
+    results = hst.run_hst_sweep(deployment, trajectory, hst.Scheme.SFN, numerology, hst.Mcs(), seed, params)
     bits_per_slot = np.zeros(len(trajectory))
     for r in results:
         bits_per_slot[r.slot_index + r.harq_attempts_used - 1] += r.delivered_bits

@@ -8,19 +8,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 KMH = 1.0 / 3.6  # km/h -> m/s
-
-
-class ScenarioKind(str, Enum):
-    HIGHWAY_POSITIONING = "highway_positioning"
-    RAIL_HST = "rail_hst"
-    HIGHWAY_MACRO = "highway_macro"
+UE_HEIGHT_M = 1.5  # vehicle antenna height
+# Bounds on the sizes a config can ask for, checked before anything is
+# allocated; the default and golden studies use at most 51 sites and 30,241
+# samples.
+MAX_SITES = 1_000
+MAX_TRAJECTORY_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,7 @@ class Site:
     """One fixed radio site."""
 
     id: int
-    position: np.ndarray  # 3-vector, m
-    boresight_azimuth: float = 0.0  # rad, 0 = +x
+    position: np.ndarray  # 3-vector, m; panels face along +x
     downtilt: float = 0.0  # rad, in [0, pi/2)
 
     def __post_init__(self):
@@ -45,14 +43,11 @@ class Site:
 
 @dataclass(frozen=True)
 class Deployment:
+    """Sites along the road, which runs along +x."""
+
     sites: tuple[Site, ...]
-    road_axis: np.ndarray  # unit 3-vector
-    scenario_kind: ScenarioKind
 
     def __post_init__(self):
-        axis = np.asarray(self.road_axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        object.__setattr__(self, "road_axis", axis)
         object.__setattr__(self, "sites", tuple(self.sites))
         coords = self.along_road_coordinates()
         if np.any(np.diff(coords) <= 0) and len(coords) > 1:
@@ -63,7 +58,7 @@ class Deployment:
                 raise ConfigurationError("inter-site spacing must be uniform")
 
     def along_road_coordinates(self) -> np.ndarray:
-        return np.array([float(s.position @ self.road_axis) for s in self.sites])
+        return np.array([float(s.position[0]) for s in self.sites])
 
     @property
     def isd(self) -> float:
@@ -109,16 +104,7 @@ class Trajectory:
         return idx
 
 
-def build_linear_deployment(
-    isd: float,
-    lateral_offset: float,
-    site_height: float,
-    span: float,
-    kind: ScenarioKind | str,
-    *,
-    boresight_azimuth: float = 0.0,
-    downtilt: float = 0.0,
-) -> Deployment:
+def build_linear_deployment(isd: float, lateral_offset: float, site_height: float, span: float) -> Deployment:
     """Sites at along-road coordinates 0, isd, 2*isd, ... <= span.
 
     All sites sit at (x, lateral_offset, site_height).
@@ -127,18 +113,14 @@ def build_linear_deployment(
         raise ConfigurationError("isd must be positive")
     if span < isd:
         raise ConfigurationError("span must be at least one inter-site distance")
-    kind = ScenarioKind(kind)
-    n_sites = int(math.floor(span / isd + 1e-9)) + 1
+    ratio = span / isd + 1e-9
+    if not ratio < MAX_SITES:
+        raise ConfigurationError(f"span {span:g} m at isd {isd:g} m needs more than {MAX_SITES:,} sites")
     sites = tuple(
-        Site(
-            id=i,
-            position=np.array([i * isd, lateral_offset, site_height]),
-            boresight_azimuth=boresight_azimuth,
-            downtilt=downtilt,
-        )
-        for i in range(n_sites)
+        Site(id=i, position=np.array([i * isd, lateral_offset, site_height]))
+        for i in range(int(math.floor(ratio)) + 1)
     )
-    return Deployment(sites=sites, road_axis=np.array([1.0, 0.0, 0.0]), scenario_kind=kind)
+    return Deployment(sites=sites)
 
 
 RAIL_SITE_HEIGHT_M = 35.0
@@ -158,27 +140,17 @@ def build_rail_deployment(isd: float, offset: float) -> Deployment:
         Site(
             id=i,
             position=np.array([i * isd, offset, RAIL_SITE_HEIGHT_M]),
-            boresight_azimuth=0.0,
             downtilt=RAIL_DOWNTILT_RAD,
         )
         for i in range(RAIL_N_SITES)
     )
-    return Deployment(sites=sites, road_axis=np.array([1.0, 0.0, 0.0]), scenario_kind=ScenarioKind.RAIL_HST)
+    return Deployment(sites=sites)
 
 
-def snake_trajectory(
-    speed_kmh: float,
-    span: float,
-    amplitude: float,
-    period: float,
-    dt: float,
-    *,
-    lateral_offset: float = 0.0,
-    height: float = 1.5,
-) -> Trajectory:
+def snake_trajectory(speed_kmh: float, span: float, amplitude: float, period: float, dt: float) -> Trajectory:
     """Sinusoidal lane-change trajectory with exact analytic derivatives.
 
-    x(t) = v t, y(x) = offset + amplitude * sin(2 pi x / period).
+    x(t) = v t, y(x) = amplitude * sin(2 pi x / period), at height UE_HEIGHT_M.
     """
     if speed_kmh <= 0 or dt <= 0:
         raise ConfigurationError("speed and dt must be positive")
@@ -187,30 +159,26 @@ def snake_trajectory(
     if not span > 0:
         raise ConfigurationError(f"span must be positive, got {span}")
     v = speed_kmh * KMH
-    n = int(round(span / (v * dt))) + 1
+    steps = span / (v * dt)
+    if not steps + 1.0 < MAX_TRAJECTORY_SAMPLES:
+        raise ConfigurationError(
+            f"span {span:g} m at {speed_kmh:g} km/h and {dt:g} s per sample needs more than "
+            f"{MAX_TRAJECTORY_SAMPLES:,} samples"
+        )
+    n = int(round(steps)) + 1
     t = np.arange(n) * dt
     x = v * t
     k = 2.0 * math.pi / period
-    y = lateral_offset + amplitude * np.sin(k * x)
+    y = 0.0 + amplitude * np.sin(k * x)  # 0.0 + turns -0.0 into 0.0
     vy = amplitude * k * v * np.cos(k * x)
     ay = -amplitude * (k * v) ** 2 * np.sin(k * x)
     zeros = np.zeros(n)
-    position = np.column_stack([x, y, np.full(n, height)])
+    position = np.column_stack([x, y, np.full(n, UE_HEIGHT_M)])
     velocity = np.column_stack([np.full(n, v), vy, zeros])
     acceleration = np.column_stack([zeros, ay, zeros])
     return Trajectory(t=t, position=position, velocity=velocity, acceleration=acceleration, sample_period=dt)
 
 
-def linear_trajectory(
-    speed_kmh: float,
-    span: float,
-    dt: float,
-    *,
-    lateral_offset: float = 0.0,
-    height: float = 1.5,
-) -> Trajectory:
+def linear_trajectory(speed_kmh: float, span: float, dt: float) -> Trajectory:
     """Straight constant-speed trajectory along +x."""
-    return snake_trajectory(
-        speed_kmh, span, amplitude=0.0, period=1.0, dt=dt,
-        lateral_offset=lateral_offset, height=height,
-    )
+    return snake_trajectory(speed_kmh, span, amplitude=0.0, period=1.0, dt=dt)

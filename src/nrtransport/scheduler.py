@@ -9,11 +9,11 @@ TDM round-robin serves the eligible backlogged users.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MacroParams, macro_pathgain
+from .channel import SHADOW_SIGMA_DB, macro_pathgain, pathloss_db
 from .errors import ConfigurationError
 from .rng import substream
 from .scenario import KMH, Deployment
@@ -22,6 +22,11 @@ from .scenario import KMH, Deployment
 # gets a row in the per-user columns, drawn at once, and the slot loop is
 # linear in the users present; the default heaviest point expects about 1,000.
 MAX_EXPECTED_ARRIVALS = 1_000_000
+# Upper bound on the slots of one cell, which the slot loop walks one by one;
+# the default study runs 20,000.
+MAX_SLOTS = 1_000_000
+# Path loss at the cell edge, half of the default 1,732 m inter-site distance.
+EDGE_PATHLOSS_DB = pathloss_db(866.0)
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,8 @@ class CellParams:
     cell_edge_snr_db: float = 5.0  # shadowing-free SNR at the cell edge
     peak_se: float = 7.4  # spectral efficiency cap, bit/s/Hz
     min_snr_db: float = 0.0  # below this the lowest MCS fails and the slot carries nothing
-    interference_margin_db: float = 0.0
     slot_s: float = 0.01
     area_width_km: float = 0.4  # road strip width used for Mbps/km^2 loads
-    pathloss: MacroParams = field(default_factory=MacroParams)
 
 
 @dataclass
@@ -103,8 +106,7 @@ class CellStats:
 
 
 def _snr_db(gain_db: np.ndarray, params: CellParams) -> np.ndarray:
-    edge_pl = params.pathloss.pathloss_db(866.0)
-    return params.cell_edge_snr_db + (gain_db + edge_pl) - params.interference_margin_db
+    return params.cell_edge_snr_db + (gain_db + EDGE_PATHLOSS_DB)
 
 
 def _rate_bps(snr_db: np.ndarray, params: CellParams) -> np.ndarray:
@@ -134,6 +136,10 @@ def simulate_cell(
     backlog_bits). Handy for closed-form checks with density 0.
     """
     params = params or CellParams()
+    if not duration / params.slot_s < MAX_SLOTS:
+        raise ConfigurationError(
+            f"duration {duration:g} s is more than {MAX_SLOTS:,} slots of {params.slot_s:g} s"
+        )
     n_slots = int(round(duration / params.slot_s))
     if n_slots < 1:
         raise ConfigurationError(f"duration {duration:g} s is shorter than one {params.slot_s:g} s slot")
@@ -152,11 +158,7 @@ def simulate_cell(
     n_arrivals = int(rng.poisson(lam * duration)) if lam > 0 else 0
     arrival_t = np.sort(rng.uniform(0.0, duration, n_arrivals))
     direction = np.where(rng.random(n_arrivals) < 0.5, 1.0, -1.0)
-    shadow = (
-        rng.normal(0.0, params.pathloss.shadow_sigma_db, n_arrivals)
-        if params.pathloss.shadow_sigma_db
-        else np.zeros(n_arrivals)
-    )
+    shadow = rng.normal(0.0, SHADOW_SIGMA_DB, n_arrivals)
     entry_x = -direction * half_span  # enter at the cell edge
     speed = traffic.vehicle_speed_kmh * KMH
 
@@ -197,7 +199,7 @@ def simulate_cell(
 
         x = entry_x[idx] + direction[idx] * speed * (t - arrival_t[idx])
         x = (x + half_span) % span - half_span  # wrap to the next cell
-        gains = macro_pathgain(site, x, params.pathloss, shadow[idx])
+        gains = macro_pathgain(site, x, shadow[idx])
         last_gain[idx] = gains
 
         elig_idx = idx[~deferred_mask(gains, idx, policy)]
@@ -282,7 +284,6 @@ def density_sweep(
     seed: int,
     *,
     duration: float = 200.0,
-    params: CellParams | None = None,
     traffic_template: TrafficConfig | None = None,
 ) -> list[SweepPoint]:
     """Mean user throughput etc. per (density, drop fraction), averaged over
@@ -304,7 +305,6 @@ def density_sweep(
                 stats = simulate_cell(
                     deployment, traffic, policy, duration,
                     seed=int(substream(seed, "sched", rep).integers(2**62)),
-                    params=params,
                 )
                 tputs.append(mean_user_throughput(stats))
                 covs.append(stats.eligible_fraction_time_avg)
@@ -329,14 +329,13 @@ def file_transfer_report(
     seed: int,
     *,
     duration: float = 600.0,
-    params: CellParams | None = None,
 ) -> dict:
     """Median DL file completion time and coverage fraction for one policy.
 
     The default duration is long enough for queue growth under overload to
     show up in the censored median.
     """
-    stats = simulate_cell(deployment, traffic, policy, duration, seed, params=params)
+    stats = simulate_cell(deployment, traffic, policy, duration, seed)
     return {
         "dl_seconds": median_file_time(stats),
         "coverage_fraction": stats.eligible_fraction_time_avg,

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 720, 480  # px
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,14 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return out
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".6g")
+def _labels(ticks: list[float]) -> list[str]:
+    """Tick labels with the fewest significant digits, at least 6, that tell
+    adjacent ticks apart (17 tell any two doubles apart)."""
+    for digits in range(6, 18):
+        labels = [format(v, f".{digits}g") for v in ticks]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return labels
 
 
 def _escape(text: str) -> str:
@@ -70,13 +77,11 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     if not series:
         raise ConfigurationError("nothing to plot")
     ml, mr, mt, mb = 70, 20, 40, 55
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xlo = min(float(np.min(s.x)) for s in series)
     xhi = max(float(np.max(s.x)) for s in series)
     ylo = min(float(np.min(s.y)) for s in series)
@@ -92,32 +97,34 @@ def line_plot(
         return mt + ph - (v - ylo) / (yhi - ylo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
         f'font-family="sans-serif">{_escape(title)}</text>',
     ]
     # Axes
     parts.append(
         f'<path d="M {ml} {mt} V {mt + ph} H {ml + pw}" fill="none" stroke="black"/>'
     )
-    for tx in _ticks(xlo, xhi):
+    xticks = _ticks(xlo, xhi)
+    for tx, label in zip(xticks, _labels(xticks)):
         px = sx(tx)
         parts.append(f'<line x1="{px:.1f}" y1="{mt + ph}" x2="{px:.1f}" y2="{mt + ph + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{px:.1f}" y="{mt + ph + 18}" font-size="11" text-anchor="middle" '
-            f'font-family="sans-serif">{_escape(_fmt(tx))}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
-    for ty in _ticks(ylo, yhi):
+    yticks = _ticks(ylo, yhi)
+    for ty, label in zip(yticks, _labels(yticks)):
         py = sy(ty)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="black"/>')
         parts.append(
             f'<text x="{ml - 8}" y="{py + 4:.1f}" font-size="11" text-anchor="end" '
-            f'font-family="sans-serif">{_escape(_fmt(ty))}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
     parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" font-size="13" text-anchor="middle" '
+        f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 12}" font-size="13" text-anchor="middle" '
         f'font-family="sans-serif">{_escape(xlabel)}</text>'
     )
     parts.append(

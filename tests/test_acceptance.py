@@ -21,10 +21,10 @@ from nrtransport import (
     Mcs,
     NoiseModel,
     Numerology,
-    ScenarioKind,
     Scheme,
     ThroughputTrace,
     TrafficConfig,
+    bin_by_position,
     build_linear_deployment,
     build_rail_deployment,
     density_sweep,
@@ -44,10 +44,9 @@ from nrtransport import (
     simulate_cell,
     simulate_measurements,
     snake_trajectory,
-    throughput_vs_position,
     transport_block_size,
 )
-from nrtransport.channel import batched_freq_response
+from nrtransport.channel import batched_freq_response, pathloss_db
 from nrtransport.hst import HstLinkParams
 from nrtransport.positioning import StateEstimate, _measurement_model
 from nrtransport.rng import substream
@@ -63,9 +62,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 
 def _positioning_scenario():
-    deployment = build_linear_deployment(
-        200, 40, 10, 10000, ScenarioKind.HIGHWAY_POSITIONING
-    )
+    deployment = build_linear_deployment(200, 40, 10, 10000)
     trajectory = snake_trajectory(130, 10000, 3.5, 500, 0.01)
     return deployment, trajectory
 
@@ -129,7 +126,7 @@ def test_criterion_2_ekf_matches_batch_least_squares():
         def resid(xy, frame=frame):
             out = []
             for m in frame.per_site:
-                h, _ = _measurement_model(xy, sites[m.site_id], params.ue_height)
+                h, _ = _measurement_model(xy, sites[m.site_id])
                 out.extend([m.range_m - h[0], m.aoa_az - h[1], m.aoa_el - h[2]])
             return np.asarray(out)
 
@@ -153,8 +150,8 @@ def _rail_sweep_all_schemes():
         results = run_hst_sweep(
             deployment, trajectory, scheme, numerology, Mcs(), 1, HstLinkParams()
         )
-        centers, tput = throughput_vs_position(results, 20.0, numerology.slot_duration)
-        out[scheme] = (centers, tput, results)
+        bins = bin_by_position(results, 20.0, numerology.slot_duration)
+        out[scheme] = (bins.centers_m, bins.throughput_bps, results)
     return out, numerology
 
 
@@ -249,7 +246,7 @@ def test_criterion_4b_cdd_fade_fraction():
 
 def test_criterion_5_scheduler_orderings():
     t0 = time.time()
-    deployment = build_linear_deployment(1732, 0, 35, 1732, ScenarioKind.HIGHWAY_MACRO)
+    deployment = build_linear_deployment(1732, 0, 35, 1732)
     template = TrafficConfig(0.0, file_size_bits=50 * 8e6)
     points = density_sweep(
         deployment, (10.0, 1000.0, 2000.0, 3000.0), (0.0, 0.5), 5, 7,
@@ -297,14 +294,14 @@ def test_criterion_5_scheduler_orderings():
 
 def test_criterion_6_two_user_closed_form():
     params = CellParams()
-    deployment = build_linear_deployment(1732, 0, 35, 1732, ScenarioKind.HIGHWAY_MACRO)
+    deployment = build_linear_deployment(1732, 0, 35, 1732)
 
     def rate(gain_db):
-        snr = params.cell_edge_snr_db + gain_db + float(params.pathloss.pathloss_db(866.0))
+        snr = params.cell_edge_snr_db + gain_db + float(pathloss_db(866.0))
         return _rate_bps(snr, params)
 
     def shadow(gain_db, x):
-        return gain_db + float(params.pathloss.pathloss_db(max(abs(x), 1.0)))
+        return gain_db + float(pathloss_db(max(abs(x), 1.0)))
 
     traffic = TrafficConfig(0.0, file_size_bits=1e15, vehicle_speed_kmh=1e-9)
     users = [

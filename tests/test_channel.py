@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from nrtransport import (
-    MacroParams,
     SPEED_OF_LIGHT,
     Site,
     default_rail_profile,
     macro_pathgain,
 )
 from nrtransport.channel import (
+    MACRO_EXPONENT,
     TapProfile,
     batched_freq_response,
     los_geometry,
@@ -205,24 +205,22 @@ def test_response_linear_in_gains():
 
 
 def test_macro_pathgain_slope_and_determinism():
-    params = MacroParams()
     site = Site(id=0, position=np.array([500.0, 0.0, 35.0]))
-    g100 = macro_pathgain(site, 600.0, params, 0.0)
-    g1000 = macro_pathgain(site, -500.0, params, 0.0)
-    assert abs((g100 - g1000) - 10 * params.exponent) < 1e-9
-    assert g100 == macro_pathgain(site, 400.0, params, 0.0)  # symmetric about the site
-    assert macro_pathgain(site, 600.0, params, 4.0) == g100 + 4.0
+    g100 = macro_pathgain(site, 600.0, 0.0)
+    g1000 = macro_pathgain(site, -500.0, 0.0)
+    assert abs((g100 - g1000) - 10 * MACRO_EXPONENT) < 1e-9
+    assert g100 == macro_pathgain(site, 400.0, 0.0)  # symmetric about the site
+    assert macro_pathgain(site, 600.0, 4.0) == g100 + 4.0
     # Elementwise over any shape, each user with its own shadowing.
     x = np.array([[600.0, -500.0], [400.0, 1500.0]])
     shadow = np.array([[0.0, 0.0], [4.0, -2.0]])
     want = [[g100, g1000], [g100 + 4.0, g1000 - 2.0]]
-    np.testing.assert_array_equal(macro_pathgain(site, x, params, shadow), want)
+    np.testing.assert_array_equal(macro_pathgain(site, x, shadow), want)
 
 
 def test_macro_pathgain_at_the_site_is_the_gain_at_1_m():
-    params = MacroParams()
     site = Site(id=0, position=np.array([500.0, 0.0, 35.0]))
-    at_1m = macro_pathgain(site, 501.0, params, 0.0)
-    assert macro_pathgain(site, 500.0, params, 0.0) == at_1m
-    assert macro_pathgain(site, 500.4, params, 0.0) == at_1m
+    at_1m = macro_pathgain(site, 501.0, 0.0)
+    assert macro_pathgain(site, 500.0, 0.0) == at_1m
+    assert macro_pathgain(site, 500.4, 0.0) == at_1m
     assert math.isfinite(at_1m)

@@ -13,7 +13,6 @@ import pytest
 from nrtransport import (
     ConfigurationError,
     EkfParams,
-    ScenarioKind,
     build_linear_deployment,
     ekf_fuse,
     empirical_cdf,
@@ -33,6 +32,7 @@ from nrtransport.runner import plot_csv
 from nrtransport.scenario import KMH
 
 from golden.compare import compare_csv, main as compare_main
+from test_svgplot import deadline
 
 
 def test_minimal_config_fills_defaults():
@@ -206,10 +206,7 @@ def test_positioning_errors_are_the_tested_error_path(tiny_runs):
     # and horizontal_errors over nr_only_positions (radio-only) give.
     cfg = parse_config(TINY_CONFIGS["positioning"])
     p = cfg.params
-    deployment = build_linear_deployment(
-        p["isd_m"], p["lateral_offset_m"], p["site_height_m"], p["span_m"],
-        ScenarioKind.HIGHWAY_POSITIONING,
-    )
+    deployment = build_linear_deployment(p["isd_m"], p["lateral_offset_m"], p["site_height_m"], p["span_m"])
     trajectory = snake_trajectory(
         p["speed_kmh"], p["span_m"], p["snake_amplitude_m"], p["snake_period_m"], p["dt_s"]
     )
@@ -270,8 +267,9 @@ def test_cli_rejects_zero_bin_size(tmp_path, capsys):
     ("[qos]\nmethod = ar1\nar1_lambda = 0\n", "line 3: key 'ar1_lambda' must be > 0.0, got '0'"),
     ("[qos]\nmethod = ar1\nar1_lambda = 1.5\n", "line 3: key 'ar1_lambda' must be <= 1.0, got '1.5'"),
     ("[qos]\nmethod = moving_average\nma_windows = 0\n", "line 3: key 'ma_windows' must be > 0, got '0'"),
+    ("[qos]\ntrace_epoch_s = 1000\n", "trace epoch 1000 s is longer than the 15.1205 s rail pass"),
 ], ids=["off_grid_epoch", "negative_horizon", "zero_ar1_lambda", "ar1_lambda_above_one",
-        "zero_ma_windows"])
+        "zero_ma_windows", "epoch_longer_than_trace"])
 def test_cli_rejects_qos_values_before_the_trace_sweep(tmp_path, capsys, monkeypatch, text, message):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the rail sweep ran before the config was checked")
@@ -308,11 +306,40 @@ def test_float_list_bound_applies_to_each_value():
     ("positioning", "decimation", "-1", "0"),
     ("scheduler", "speed_kmh", "0", "0.0"),
     ("scheduler", "speed_kmh", "-140", "0.0"),
+    ("hst", "span_m", "0", "0.0"),
+    ("hst", "isd_m", "-700", "0.0"),
+    ("hst", "speed_kmh", "0", "0.0"),
+    ("hst", "esm_beta", "0", "0.0"),
+    ("hst", "max_harq_retx", "-1", "-1"),
+    ("scheduler", "duration_s", "0", "0.0"),
+    ("scheduler", "isd_m", "0", "0.0"),
+    ("scheduler", "file_size_mb", "-50", "0.0"),
+    ("qos", "trace_repeats", "0", "0"),
 ])
 def test_non_positive_values_rejected_with_key_and_line(study, key, value, bound):
     message = f"line 4: key '{key}' must be > {bound}, got '{value}'"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         parse_config(f"[{study}]\nseed = 1\n\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "[positioning]\nisd_m = 1e-300\n",
+    "[positioning]\nisd_m = 0.001\n",
+    "[positioning]\nisd_m = 1e-320\n",
+    "[positioning]\ndt_s = 1e-320\n",
+    "[positioning]\ndt_s = 1e-9\n",
+    "[hst]\nspan_m = 1e12\n",
+    "[scheduler]\nduration_s = 1e12\ndensities_mbps_km2 = 0\n",
+], ids=["isd_1e-300", "isd_1mm", "isd_1e-320", "dt_1e-320", "dt_1ns", "hst_span_1e12", "duration_1e12"])
+def test_cli_rejects_sizes_before_allocating(tmp_path, capsys, text):
+    # Each asks for more sites, trajectory samples or slots than the bounds
+    # in scenario and scheduler allow; it must fail fast, not hang or die.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with deadline(20):
+        assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_pool_is_no_wider_than_the_task_list(monkeypatch):

@@ -15,11 +15,10 @@ from nrtransport import (
     hst,
     linear_trajectory,
     run_hst_sweep,
-    throughput_vs_position,
     transport_block_size,
 )
 from nrtransport.errors import ConfigurationError
-from nrtransport.hst import BlerParams, HstLinkParams, SlotResult
+from nrtransport.hst import HstLinkParams, SlotResult, bin_by_position, bler_threshold_db
 
 
 def test_transport_block_size_default_mcs():
@@ -58,10 +57,15 @@ def test_effective_snr_survives_underflow():
     assert effective_snr([1e5] * 10, beta=5.0) == 50.0
 
 
+def test_effective_snr_of_a_tiny_sinr_is_not_the_floor():
+    # exp(-2e-17) rounds to 1, and so would the mean and its log to 0; the
+    # expm1/log1p form keeps the -160 dB.
+    assert abs(effective_snr([1e-16] * 10, beta=5.0) - (-160.0)) < 1e-9
+
+
 def test_bler_limits_and_threshold():
     mcs = Mcs()
-    params = BlerParams()
-    th = params.threshold_for(mcs)
+    th = bler_threshold_db(mcs)
     expected = 10 * math.log10(2 ** (6 * 0.428) - 1) + 2.0
     assert abs(th - expected) < 1e-12
     assert abs(th - 8.93) < 0.01
@@ -100,16 +104,14 @@ def test_bin_size_must_be_positive():
     results, numerology = _sweep(Scheme.DPS, span=10.0)
     for bin_m in (0.0, -20.0, float("nan")):
         with pytest.raises(ConfigurationError, match="bin size"):
-            throughput_vs_position(results, bin_m, numerology.slot_duration)
+            bin_by_position(results, bin_m, numerology.slot_duration)
 
 
 def test_all_success_gives_flat_peak_curve():
     # Force zero BLER with a huge negative threshold.
-    results, numerology = _sweep(
-        Scheme.DPS, bler=BlerParams(threshold_db=-500.0)
-    )
+    results, numerology = _sweep(Scheme.DPS, bler_threshold_db=-500.0)
     assert all(r.delivered_bits == 20030 and r.harq_attempts_used == 1 for r in results)
-    centers, tput = throughput_vs_position(results, 20.0, numerology.slot_duration)
+    tput = bin_by_position(results, 20.0, numerology.slot_duration).throughput_bps
     assert np.max(np.abs(tput - 20030 / numerology.slot_duration)) < 1e-6
 
 
@@ -119,17 +121,17 @@ def test_alternating_success_failure_halves_throughput():
     for i in range(100):
         results.append(
             SlotResult(
-                slot_index=i, scheme=Scheme.SFN, train_x=1.0,
+                slot_index=i, train_x=1.0,
                 delivered_bits=20030 if i % 2 == 0 else 0,
                 harq_attempts_used=1, effective_snr_db=10.0,
             )
         )
-    _, tput = throughput_vs_position(results, 20.0, numerology.slot_duration)
+    tput = bin_by_position(results, 20.0, numerology.slot_duration).throughput_bps
     assert abs(tput[0] - 0.5 * 20030 / numerology.slot_duration) < 1e-6
 
 
 def test_all_failures_deliver_nothing():
-    results, _ = _sweep(Scheme.SFN, bler=BlerParams(threshold_db=500.0))
+    results, _ = _sweep(Scheme.SFN, bler_threshold_db=500.0)
     assert all(r.delivered_bits == 0 for r in results)
     assert all(r.harq_attempts_used <= 4 for r in results)
 
@@ -137,7 +139,7 @@ def test_all_failures_deliver_nothing():
 def test_throughput_non_increasing_in_bler_threshold():
     tputs = []
     for th in (5.0, 9.0, 13.0):
-        results, numerology = _sweep(Scheme.SFN, bler=BlerParams(threshold_db=th))
+        results, numerology = _sweep(Scheme.SFN, bler_threshold_db=th)
         bits = sum(r.delivered_bits for r in results)
         slots = sum(r.harq_attempts_used for r in results)
         tputs.append(bits / (slots * numerology.slot_duration))

@@ -10,7 +10,6 @@ from scipy.optimize import least_squares
 from nrtransport import (
     EkfParams,
     NoiseModel,
-    ScenarioKind,
     build_linear_deployment,
     ekf_fuse,
     empirical_cdf,
@@ -29,12 +28,11 @@ from nrtransport.config import parse_config
 from nrtransport.errors import ConfigurationError, EstimationError
 from nrtransport.positioning import MeasurementFrame, SiteMeasurement, StateEstimate
 from nrtransport.rng import substream
+from nrtransport.scenario import UE_HEIGHT_M
 
 
 def _scenario(span=1000.0):
-    deployment = build_linear_deployment(
-        200, 40, 10, span, ScenarioKind.HIGHWAY_POSITIONING
-    )
+    deployment = build_linear_deployment(200, 40, 10, span)
     trajectory = snake_trajectory(130, span, 3.5, 500, 0.01)
     return deployment, trajectory
 
@@ -91,9 +89,8 @@ def test_measurement_model_matches_los_geometry():
     for _ in range(200):
         site = rng.uniform([-500.0, -100.0, 0.0], [500.0, 100.0, 40.0])
         xy = rng.uniform(-500.0, 500.0, 2)
-        height = rng.uniform(0.5, 3.0)
-        (r, az, el), _ = positioning._measurement_model(xy, site, height)
-        delta, dist = los_geometry(site[None], np.array([[xy[0], xy[1], height]]))
+        (r, az, el), _ = positioning._measurement_model(xy, site)
+        delta, dist = los_geometry(site[None], np.array([[xy[0], xy[1], UE_HEIGHT_M]]))
         to_site = -delta[0, 0]
         assert abs(r - dist[0, 0]) < 1e-12 * max(1.0, r)
         assert abs(az - azimuth(to_site)) < 1e-12
@@ -119,7 +116,7 @@ def _batch_nls(frames, deployment, params, x0):
         def resid(xy, frame=frame):
             out = []
             for m in frame.per_site:
-                h, _ = _measurement_model(xy, sites[m.site_id], params.ue_height)
+                h, _ = _measurement_model(xy, sites[m.site_id])
                 out.extend([m.range_m - h[0], m.aoa_az - h[1], m.aoa_el - h[2]])
             return np.asarray(out)
 
@@ -234,7 +231,7 @@ def _weighted_nls(frame, deployment, params):
     z = np.array([[m.range_m, m.aoa_az, m.aoa_el] for m in frame.per_site])
 
     def resid(xy):
-        d = pos - np.array([xy[0], xy[1], params.ue_height])
+        d = pos - np.array([xy[0], xy[1], UE_HEIGHT_M])
         horiz = np.hypot(d[:, 0], d[:, 1])
         h = np.column_stack([np.hypot(horiz, d[:, 2]), np.arctan2(d[:, 1], d[:, 0]),
                              np.arctan2(d[:, 2], horiz)])
@@ -284,9 +281,11 @@ def test_diverging_solve_raises_and_is_a_nan_row():
 
 
 def test_oscillating_solve_raises_and_is_a_nan_row():
-    # Sites on the road axis: the second site's azimuth sits near +-pi, and
-    # this frame's Gauss-Newton steps jump across the wrap for all max_iter
-    # iterations instead of converging.
+    # Sites on the road axis: range says almost nothing about the lateral
+    # coordinate near y = 0, which then rests on the two azimuths. Gauss-
+    # Newton drops the curvature of the large range residual, so this frame's
+    # lateral steps overshoot back and forth for all GN_MAX_ITER iterations
+    # instead of converging.
     p = parse_config("[positioning]\nlateral_offset_m = 0\nspan_m = 2000\n").params
     deployment, trajectory = runner._positioning_scenario(p)
     frames = simulate_measurements(deployment, trajectory, 15.0, 2, 1, decimation=10)

@@ -7,7 +7,7 @@ import pytest
 
 from nrtransport import (
     ThroughputTrace,
-    horizon_cdfs,
+    empirical_cdf,
     horizon_errors,
     predict,
     prediction_error,
@@ -131,8 +131,8 @@ def test_cdf_invariant_to_whole_epoch_origin_shift():
     bits = rng.uniform(0, 1e5, 600)
     t1 = ThroughputTrace(0.5, bits)
     t2 = ThroughputTrace(0.5, np.roll(bits, 0))  # same trace, same origin
-    c1 = horizon_cdfs(t1, [2.0], "last_window")[0]
-    c2 = horizon_cdfs(t2, [2.0], "last_window")[0]
+    c1 = empirical_cdf(horizon_errors(t1, 2.0, "last_window"))
+    c2 = empirical_cdf(horizon_errors(t2, 2.0, "last_window"))
     assert np.array_equal(c1.errors, c2.errors)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from nrtransport import (
     ConfigurationError,
-    ScenarioKind,
     build_linear_deployment,
     build_rail_deployment,
     linear_trajectory,
@@ -16,7 +15,7 @@ from nrtransport import (
 
 
 def test_highway_deployment_site_count_and_span():
-    dep = build_linear_deployment(200, 40, 10, 10000, ScenarioKind.HIGHWAY_POSITIONING)
+    dep = build_linear_deployment(200, 40, 10, 10000)
     assert len(dep.sites) == 51
     coords = dep.along_road_coordinates()
     assert coords[0] == 0.0
@@ -26,15 +25,15 @@ def test_highway_deployment_site_count_and_span():
 
 
 def test_macro_deployment_two_sites():
-    dep = build_linear_deployment(1732, 0, 35, 1732, ScenarioKind.HIGHWAY_MACRO)
+    dep = build_linear_deployment(1732, 0, 35, 1732)
     assert len(dep.sites) == 2
 
 
 def test_span_shorter_than_isd_rejected():
     with pytest.raises(ConfigurationError):
-        build_linear_deployment(100, 0, 10, 50, ScenarioKind.HIGHWAY_MACRO)
+        build_linear_deployment(100, 0, 10, 50)
     with pytest.raises(ConfigurationError):
-        build_linear_deployment(0, 0, 10, 50, ScenarioKind.HIGHWAY_MACRO)
+        build_linear_deployment(0, 0, 10, 50)
 
 
 def test_rail_deployment_four_sites_with_downtilt():
@@ -48,7 +47,7 @@ def test_rail_deployment_four_sites_with_downtilt():
 
 
 def test_reflection_symmetry_of_site_coordinates():
-    dep = build_linear_deployment(200, 40, 10, 1000, ScenarioKind.HIGHWAY_POSITIONING)
+    dep = build_linear_deployment(200, 40, 10, 1000)
     coords = dep.along_road_coordinates()
     # Reversing the road axis reflects the along-road coordinates.
     reflected = sorted(-c for c in coords)

@@ -9,20 +9,20 @@ import pytest
 from nrtransport import (
     CellParams,
     DropPolicy,
-    ScenarioKind,
     TrafficConfig,
     build_linear_deployment,
     median_file_time,
     mean_user_throughput,
     simulate_cell,
 )
+from nrtransport.channel import pathloss_db
 from nrtransport.cli import main as cli_main
 from nrtransport.errors import ConfigurationError
 from nrtransport.scheduler import _rate_bps, _snr_db, deferred_mask
 
 
 def _deployment():
-    return build_linear_deployment(1732, 0, 35, 1732, ScenarioKind.HIGHWAY_MACRO)
+    return build_linear_deployment(1732, 0, 35, 1732)
 
 
 def _deferred(gains, policy):
@@ -53,24 +53,24 @@ def test_classify_validation():
 
 
 def _closed_form_rate(gain_db, params):
-    snr = params.cell_edge_snr_db + gain_db + float(params.pathloss.pathloss_db(866.0))
+    snr = params.cell_edge_snr_db + gain_db + float(pathloss_db(866.0))
     if snr < params.min_snr_db:
         return 0.0
     se = min(math.log2(1 + 10 ** (snr / 10)), params.peak_se)
     return params.bandwidth_hz * se
 
 
-def _shadow_for(gain_db, x, params):
+def _shadow_for(gain_db, x):
     # Mirror the simulator's distance model: horizontal offset to the first
     # site (at the origin) combined with the site's lateral coordinate (0).
     d = math.hypot(max(abs(x), 1.0), 0.0)
-    return gain_db + float(params.pathloss.pathloss_db(d))
+    return gain_db + float(pathloss_db(d))
 
 
 def test_single_static_user_gets_full_shannon_rate():
     params = CellParams()
     traffic = TrafficConfig(0.0, file_size_bits=1e15, vehicle_speed_kmh=1e-9)
-    users = [(100.0, 1.0, _shadow_for(-100.0, 100.0, params), 1e15)]
+    users = [(100.0, 1.0, _shadow_for(-100.0, 100.0), 1e15)]
     stats = simulate_cell(_deployment(), traffic, DropPolicy(0.0), 10.0, 1, params, initial_users=users)
     expected = _closed_form_rate(-100.0, params)
     assert abs(mean_user_throughput(stats) - expected) / expected < 1e-9
@@ -82,8 +82,8 @@ def test_two_user_round_robin_matches_closed_form():
     params = CellParams()
     traffic = TrafficConfig(0.0, file_size_bits=1e15, vehicle_speed_kmh=1e-9)
     users = [
-        (100.0, 1.0, _shadow_for(-100.0, 100.0, params), 1e15),
-        (300.0, 1.0, _shadow_for(-120.0, 300.0, params), 1e15),
+        (100.0, 1.0, _shadow_for(-100.0, 100.0), 1e15),
+        (300.0, 1.0, _shadow_for(-120.0, 300.0), 1e15),
     ]
     r_strong = _closed_form_rate(-100.0, params)
     r_weak = _closed_form_rate(-120.0, params)
@@ -110,7 +110,7 @@ def test_infinite_capacity_file_time():
     peak = params.bandwidth_hz * params.peak_se
     file_bits = 1e9
     traffic = TrafficConfig(0.0, file_size_bits=file_bits, vehicle_speed_kmh=1e-9)
-    users = [(50.0, 1.0, _shadow_for(-80.0, 50.0, params), file_bits)]
+    users = [(50.0, 1.0, _shadow_for(-80.0, 50.0), file_bits)]
     stats = simulate_cell(_deployment(), traffic, DropPolicy(0.0), 10.0, 1, params, initial_users=users)
     expected = file_bits / peak
     got = median_file_time(stats)
@@ -154,9 +154,9 @@ def test_censored_median_counts_unfinished_transfers():
     params = CellParams()
     traffic = TrafficConfig(0.0, file_size_bits=1e6, vehicle_speed_kmh=1e-9)
     users = [
-        (50.0, 1.0, _shadow_for(-80.0, 50.0, params), 1e6),
-        (800.0, 1.0, _shadow_for(-150.0, 800.0, params), 1e6),
-        (820.0, 1.0, _shadow_for(-150.0, 820.0, params), 1e6),
+        (50.0, 1.0, _shadow_for(-80.0, 50.0), 1e6),
+        (800.0, 1.0, _shadow_for(-150.0, 800.0), 1e6),
+        (820.0, 1.0, _shadow_for(-150.0, 820.0), 1e6),
     ]
     stats = simulate_cell(_deployment(), traffic, DropPolicy(0.0), 5.0, 1, params, initial_users=users)
     assert median_file_time(stats) == pytest.approx(5.0)

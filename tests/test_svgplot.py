@@ -69,6 +69,9 @@ def test_one_point_far_from_zero_has_ticks():
     x_labels = [t.text for t in texts if t.get("font-size") == "11" and t.get("text-anchor") == "middle"]
     y_labels = [t.text for t in texts if t.get("text-anchor") == "end"]
     assert x_labels and y_labels
+    # The ticks are 1e293 apart: six significant digits would print them all
+    # as 5e+299.
+    assert len(set(x_labels)) == len(x_labels) > 1
 
 
 def test_run_with_every_bin_at_the_peak_rate_finishes(tmp_path):
