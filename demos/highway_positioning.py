@@ -32,7 +32,7 @@ def main():
     trajectory = snake_trajectory(130, SPAN_M, 3.5, 500, DT_S)
     params = EkfParams(deployment=deployment)
 
-    print(f"{len(deployment.sites)} roadside sites, "
+    print(f"{len(deployment.positions)} roadside sites, "
           f"{trajectory.position[-1][0] - trajectory.position[0][0]:.0f} m of road")
     print(f"{'SNR':>6} {'fused p50':>10} {'fused p90':>10} {'radio p50':>10} {'radio p90':>10}")
     for snr_db in (5.0, 15.0):

@@ -1,7 +1,7 @@
 """Multi-TRP transmission schemes on a high-speed rail link.
 
-Sweeps a 500 km/h train across three inter-site distances and reports the
-binned downlink throughput for each joint-transmission scheme. The midpoint
+Sweeps a 500 km/h train past four masts 700 m apart and reports the binned
+downlink throughput for each joint-transmission scheme. The midpoint
 between two masts is where the schemes separate: plain SFN suffers periodic
 flat fades from the opposing Doppler shifts, CDD turns them into ordinary
 frequency selectivity, Doppler precompensation aligns the carriers, and DPS

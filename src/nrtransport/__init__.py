@@ -54,7 +54,6 @@ from .rng import substream
 from .runner import VERSION as __version__, RunManifest, run
 from .scenario import (
     Deployment,
-    Site,
     Trajectory,
     build_linear_deployment,
     build_rail_deployment,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .scenario import Site
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -200,15 +199,16 @@ def pathloss_db(distance_m) -> np.ndarray:
     return MACRO_INTERCEPT_DB + 10.0 * MACRO_EXPONENT * np.log10(d_km)
 
 
-def macro_pathgain(site: Site, x, shadow_db) -> np.ndarray:
-    """Path gain in dB (negative) of road positions ``x`` (m, any shape), plus
-    the per-user lognormal shadowing ``shadow_db``.
+def macro_pathgain(site: np.ndarray, x, shadow_db) -> np.ndarray:
+    """Path gain in dB (negative) from the site at position ``site`` (a
+    3-vector, m) to road positions ``x`` (m, any shape), plus the per-user
+    lognormal shadowing ``shadow_db``.
 
     Vehicles drive on the road axis y = 0; the horizontal offset to the site
     is floored at 1 m so a vehicle passing under the mast keeps a finite gain.
     """
-    d2d = np.maximum(np.abs(x - site.position[0]), 1.0)
-    return -pathloss_db(np.hypot(d2d, site.position[1])) + shadow_db
+    d2d = np.maximum(np.abs(x - site[0]), 1.0)
+    return -pathloss_db(np.hypot(d2d, site[1])) + shadow_db
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ class FieldSpec:
     default: object = _REQUIRED
     choices: tuple | None = None
     above: float | None = None  # exclusive lower bound of a number or of each list element
+    at_least: float | None = None  # inclusive lower bound, likewise
     at_most: float | None = None  # inclusive upper bound, likewise
 
 
@@ -41,7 +42,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "nb_fused_bs": FieldSpec("int", 2, above=0),
         "isd_m": FieldSpec("float", 200.0, above=0.0),
         "lateral_offset_m": FieldSpec("float", 40.0),
-        "site_height_m": FieldSpec("float", 10.0),
+        "site_height_m": FieldSpec("float", 10.0, at_least=0.0),
         "span_m": FieldSpec("float", 10000.0, above=0.0),
         "speed_kmh": FieldSpec("float", 130.0, above=0.0),
         "snake_amplitude_m": FieldSpec("float", 3.5),
@@ -56,14 +57,14 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "speed_kmh": FieldSpec("float", 500.0, above=0.0),
         "span_m": FieldSpec("float", 2100.0, above=0.0),
         "anchor_snr_db": FieldSpec("float", 16.0),
-        "cdd_us": FieldSpec("float", 1.0),
+        "cdd_us": FieldSpec("float", 1.0, at_least=0.0),
         "esm_beta": FieldSpec("float", 5.0, above=0.0),
         "max_harq_retx": FieldSpec("int", 3, above=-1),
         "bin_m": FieldSpec("float", 20.0, above=0.0),
     },
     "scheduler": {
-        "densities_mbps_km2": FieldSpec("float_list", (10.0, 450.0, 1000.0, 2000.0, 3000.0)),
-        "drop_fractions": FieldSpec("float_list", (0.0, 0.5)),
+        "densities_mbps_km2": FieldSpec("float_list", (10.0, 450.0, 1000.0, 2000.0, 3000.0), at_least=0.0),
+        "drop_fractions": FieldSpec("float_list", (0.0, 0.5), at_least=0.0, at_most=1.0),
         "duration_s": FieldSpec("float", 200.0, above=0.0),
         "isd_m": FieldSpec("float", 1732.0, above=0.0),
         "file_size_mb": FieldSpec("float", 50.0, above=0.0),
@@ -138,6 +139,8 @@ def _convert(key: str, raw: str, spec: FieldSpec, lineno: int):
         raise ConfigurationError(f"line {lineno}: key '{key}' repeats a value: '{raw}'")
     if spec.above is not None and not all(v > spec.above for v in items):
         raise ConfigurationError(f"line {lineno}: key '{key}' must be > {spec.above!r}, got '{raw}'")
+    if spec.at_least is not None and not all(v >= spec.at_least for v in items):
+        raise ConfigurationError(f"line {lineno}: key '{key}' must be >= {spec.at_least!r}, got '{raw}'")
     if spec.at_most is not None and not all(v <= spec.at_most for v in items):
         raise ConfigurationError(f"line {lineno}: key '{key}' must be <= {spec.at_most!r}, got '{raw}'")
     if spec.choices is not None and value not in spec.choices:

@@ -186,11 +186,10 @@ def _link_gains_lin(deployment: Deployment, positions: np.ndarray) -> np.ndarray
 
     Absolute scale is arbitrary; the SNR anchor fixes the noise power.
     """
-    delta, dist = los_geometry(deployment.site_positions(), positions)
-    downtilt = np.array([site.downtilt for site in deployment.sites])
+    delta, dist = los_geometry(deployment.positions, positions)
     # Boresight is +x, so the azimuth offset is the azimuth. Elevation offset:
     # the depression of the vehicle below the site, minus the downtilt.
-    g_db = sector_gain_db(azimuth(delta), -elevation(delta) - downtilt)
+    g_db = sector_gain_db(azimuth(delta), -elevation(delta) - deployment.downtilt)
     ref = SPEED_OF_LIGHT / (4.0 * math.pi * CARRIER_HZ)
     return ref**2 * dist ** (-PATHLOSS_EXPONENT) * 10.0 ** (g_db / 10.0)
 
@@ -224,7 +223,7 @@ def run_hst_sweep(
 
     gains_lin = _link_gains_lin(deployment, trajectory.position)
     ch = tdl_taps(
-        deployment.site_positions(), trajectory.position, trajectory.velocity, PROFILE, CARRIER_HZ, gains_lin,
+        deployment.positions, trajectory.position, trajectory.velocity, PROFILE, CARRIER_HZ, gains_lin,
     )
     n_slots, n_trp, _ = ch.delays.shape
     nlos = ~PROFILE.los_flag.astype(bool)

@@ -62,7 +62,7 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SiteMeasurement:
-    site_id: int
+    site_id: int  # row of the site in the deployment's positions
     range_m: float
     aoa_az: float  # azimuth toward the site, seen from the vehicle
     aoa_el: float
@@ -104,7 +104,7 @@ def simulate_measurements(
     """
     if n_fused_bs < 1:
         raise ConfigurationError("n_fused_bs must be at least 1")
-    if n_fused_bs > len(deployment.sites):
+    if n_fused_bs > len(deployment.positions):
         raise ConfigurationError("n_fused_bs exceeds the number of deployed sites")
     if decimation < 1:
         raise ConfigurationError("decimation must be >= 1")
@@ -114,7 +114,7 @@ def simulate_measurements(
     rng = substream(seed, "positioning", "meas")
 
     idx = np.arange(0, len(trajectory), decimation)
-    delta, dist = los_geometry(deployment.site_positions(), trajectory.position[idx])
+    delta, dist = los_geometry(deployment.positions, trajectory.position[idx])
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :n_fused_bs]
     to_site = -np.take_along_axis(delta, nearest[:, :, None], axis=1)
     truth = np.stack([np.take_along_axis(dist, nearest, axis=1), azimuth(to_site), elevation(to_site)], axis=-1)
@@ -124,10 +124,9 @@ def simulate_measurements(
     drawn = scales != 0.0
     obs[:, drawn] += rng.normal(0.0, scales[drawn], size=(len(idx), int(np.count_nonzero(drawn))))
 
-    site_ids = [site.id for site in deployment.sites]
     frames = []
     for i, (t, row) in enumerate(zip(trajectory.t[idx].tolist(), obs.tolist())):
-        per_site = tuple(SiteMeasurement(site_ids[k], *row[3 * j:3 * j + 3], snr_db=snr_db)
+        per_site = tuple(SiteMeasurement(k, *row[3 * j:3 * j + 3], snr_db=snr_db)
                          for j, k in enumerate(nearest[i].tolist()))
         frames.append(MeasurementFrame(t=t, per_site=per_site, imu_accel=obs[i, -2:]))
     return frames
@@ -152,9 +151,9 @@ class EkfParams:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     @cached_property
-    def site_xyz(self) -> dict[int, tuple[float, float, float]]:
-        """Position of every deployed site by id, as floats."""
-        return {s.id: tuple(float(v) for v in s.position) for s in self.deployment.sites}
+    def site_xyz(self) -> list[list[float]]:
+        """Position of every deployed site by row, as floats."""
+        return self.deployment.positions.tolist()
 
 
 def _measurement_model(state_xy, site_pos):

@@ -20,55 +20,44 @@ UE_HEIGHT_M = 1.5  # vehicle antenna height
 # samples.
 MAX_SITES = 1_000
 MAX_TRAJECTORY_SAMPLES = 1_000_000
-
-
-@dataclass(frozen=True)
-class Site:
-    """One fixed radio site."""
-
-    id: int
-    position: np.ndarray  # 3-vector, m; panels face along +x
-    downtilt: float = 0.0  # rad, in [0, pi/2)
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        object.__setattr__(self, "position", pos)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise ConfigurationError("site position must be a finite 3-vector")
-        if pos[2] < 0:
-            raise ConfigurationError("site height must be non-negative")
-        if not 0 <= self.downtilt < math.pi / 2:
-            raise ConfigurationError("downtilt must lie in [0, pi/2)")
+# Bound on every site coordinate: ranges are computed by squaring, which
+# overflows near 1e154 m.
+MAX_COORDINATE_M = 1e9
 
 
 @dataclass(frozen=True)
 class Deployment:
-    """Sites along the road, which runs along +x."""
+    """Fixed sites along the road, which runs along +x.
 
-    sites: tuple[Site, ...]
+    Row i of ``positions`` (shape (sites, 3), m) is site i; every panel faces
+    along +x with the one ``downtilt`` (rad, in [0, pi/2)).
+    """
+
+    positions: np.ndarray
+    downtilt: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(self.sites))
-        coords = self.along_road_coordinates()
-        if np.any(np.diff(coords) <= 0) and len(coords) > 1:
+        pos = np.asarray(self.positions, dtype=float)
+        object.__setattr__(self, "positions", pos)
+        if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) == 0:
+            raise ConfigurationError(f"site positions must have shape (n >= 1, 3), got {pos.shape}")
+        if not np.all(np.abs(pos) <= MAX_COORDINATE_M):
+            raise ConfigurationError(f"site coordinates must be finite and within {MAX_COORDINATE_M:g} m")
+        if np.any(pos[:, 2] < 0):
+            raise ConfigurationError("site height must be non-negative")
+        if not 0 <= self.downtilt < math.pi / 2:
+            raise ConfigurationError("downtilt must lie in [0, pi/2)")
+        spacings = np.diff(pos[:, 0])
+        if np.any(spacings <= 0):
             raise ConfigurationError("sites must be sorted by along-road coordinate")
-        if len(coords) > 2:
-            spacings = np.diff(coords)
-            if np.max(np.abs(spacings - spacings[0])) > 1e-9:
-                raise ConfigurationError("inter-site spacing must be uniform")
-
-    def along_road_coordinates(self) -> np.ndarray:
-        return np.array([float(s.position[0]) for s in self.sites])
+        if len(spacings) > 1 and np.max(np.abs(spacings - spacings[0])) > 1e-9:
+            raise ConfigurationError("inter-site spacing must be uniform")
 
     @property
     def isd(self) -> float:
-        coords = self.along_road_coordinates()
-        if len(coords) < 2:
+        if len(self.positions) < 2:
             raise ConfigurationError("deployment has fewer than two sites")
-        return float(coords[1] - coords[0])
-
-    def site_positions(self) -> np.ndarray:
-        return np.stack([s.position for s in self.sites])
+        return float(self.positions[1, 0] - self.positions[0, 0])
 
 
 @dataclass(frozen=True)
@@ -116,11 +105,8 @@ def build_linear_deployment(isd: float, lateral_offset: float, site_height: floa
     ratio = span / isd + 1e-9
     if not ratio < MAX_SITES:
         raise ConfigurationError(f"span {span:g} m at isd {isd:g} m needs more than {MAX_SITES:,} sites")
-    sites = tuple(
-        Site(id=i, position=np.array([i * isd, lateral_offset, site_height]))
-        for i in range(int(math.floor(ratio)) + 1)
-    )
-    return Deployment(sites=sites)
+    n = int(math.floor(ratio)) + 1
+    return Deployment(np.column_stack([np.arange(n) * isd, np.full(n, lateral_offset), np.full(n, site_height)]))
 
 
 RAIL_SITE_HEIGHT_M = 35.0
@@ -134,17 +120,10 @@ def build_rail_deployment(isd: float, offset: float) -> Deployment:
     Panels face along the track (boresight +x); the antenna gain model in the
     rail link treats them as fore/aft panel pairs.
     """
-    if isd <= 0:
-        raise ConfigurationError("isd must be positive")
-    sites = tuple(
-        Site(
-            id=i,
-            position=np.array([i * isd, offset, RAIL_SITE_HEIGHT_M]),
-            downtilt=RAIL_DOWNTILT_RAD,
-        )
-        for i in range(RAIL_N_SITES)
+    return Deployment(
+        build_linear_deployment(isd, offset, RAIL_SITE_HEIGHT_M, (RAIL_N_SITES - 1) * isd).positions,
+        RAIL_DOWNTILT_RAD,
     )
-    return Deployment(sites=sites)
 
 
 def snake_trajectory(speed_kmh: float, span: float, amplitude: float, period: float, dt: float) -> Trajectory:

@@ -25,7 +25,9 @@ MAX_EXPECTED_ARRIVALS = 1_000_000
 # Upper bound on the slots of one cell, which the slot loop walks one by one;
 # the default study runs 20,000.
 MAX_SLOTS = 1_000_000
-# Path loss at the cell edge, half of the default 1,732 m inter-site distance.
+# Path loss at 866 m, the cell edge of the default 1,732 m inter-site
+# distance. It anchors the link budget at every ISD: the transmit power is
+# fixed, so a smaller or larger cell sees a higher or lower SNR at its edge.
 EDGE_PATHLOSS_DB = pathloss_db(866.0)
 
 
@@ -54,7 +56,7 @@ class DropPolicy:
 @dataclass(frozen=True)
 class CellParams:
     bandwidth_hz: float = 50e6
-    cell_edge_snr_db: float = 5.0  # shadowing-free SNR at the cell edge
+    cell_edge_snr_db: float = 5.0  # shadowing-free SNR at 866 m, whatever the ISD
     peak_se: float = 7.4  # spectral efficiency cap, bit/s/Hz
     min_snr_db: float = 0.0  # below this the lowest MCS fails and the slot carries nothing
     slot_s: float = 0.01
@@ -143,8 +145,8 @@ def simulate_cell(
     n_slots = int(round(duration / params.slot_s))
     if n_slots < 1:
         raise ConfigurationError(f"duration {duration:g} s is shorter than one {params.slot_s:g} s slot")
-    site = deployment.sites[0]
-    half_span = deployment.isd / 2.0 if len(deployment.sites) > 1 else 866.0
+    site = deployment.positions[0]
+    half_span = deployment.isd / 2.0
 
     rng = substream(seed, "scheduler", "arrivals")
     area_km2 = (2.0 * half_span / 1000.0) * params.area_width_km

@@ -119,7 +119,7 @@ def test_criterion_2_ekf_matches_batch_least_squares():
     )
     estimates = ekf_fuse(frames, initial, params)
 
-    sites = {s.id: s.position for s in deployment.sites}
+    sites = deployment.positions
     guess = trajectory.position[0, :2]
     gap = 0.0
     for frame, est in zip(frames, estimates):

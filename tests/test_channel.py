@@ -7,7 +7,6 @@ import pytest
 
 from nrtransport import (
     SPEED_OF_LIGHT,
-    Site,
     default_rail_profile,
     macro_pathgain,
 )
@@ -205,7 +204,7 @@ def test_response_linear_in_gains():
 
 
 def test_macro_pathgain_slope_and_determinism():
-    site = Site(id=0, position=np.array([500.0, 0.0, 35.0]))
+    site = np.array([500.0, 0.0, 35.0])
     g100 = macro_pathgain(site, 600.0, 0.0)
     g1000 = macro_pathgain(site, -500.0, 0.0)
     assert abs((g100 - g1000) - 10 * MACRO_EXPONENT) < 1e-9
@@ -219,7 +218,7 @@ def test_macro_pathgain_slope_and_determinism():
 
 
 def test_macro_pathgain_at_the_site_is_the_gain_at_1_m():
-    site = Site(id=0, position=np.array([500.0, 0.0, 35.0]))
+    site = np.array([500.0, 0.0, 35.0])
     at_1m = macro_pathgain(site, 501.0, 0.0)
     assert macro_pathgain(site, 500.0, 0.0) == at_1m
     assert macro_pathgain(site, 500.4, 0.0) == at_1m

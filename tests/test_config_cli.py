@@ -296,30 +296,62 @@ def test_float_list_bound_applies_to_each_value():
     assert parse_config("[qos]\nhorizons_s = 0.5, 2\n").params["horizons_s"] == (0.5, 2.0)
 
 
-@pytest.mark.parametrize("study,key,value,bound", [
-    ("positioning", "isd_m", "-200", "0.0"),
-    ("positioning", "span_m", "0", "0.0"),
-    ("positioning", "speed_kmh", "-130", "0.0"),
-    ("positioning", "dt_s", "0", "0.0"),
-    ("positioning", "snake_period_m", "0", "0.0"),
-    ("positioning", "nb_fused_bs", "0", "0"),
-    ("positioning", "decimation", "-1", "0"),
-    ("scheduler", "speed_kmh", "0", "0.0"),
-    ("scheduler", "speed_kmh", "-140", "0.0"),
-    ("hst", "span_m", "0", "0.0"),
-    ("hst", "isd_m", "-700", "0.0"),
-    ("hst", "speed_kmh", "0", "0.0"),
-    ("hst", "esm_beta", "0", "0.0"),
-    ("hst", "max_harq_retx", "-1", "-1"),
-    ("scheduler", "duration_s", "0", "0.0"),
-    ("scheduler", "isd_m", "0", "0.0"),
-    ("scheduler", "file_size_mb", "-50", "0.0"),
-    ("qos", "trace_repeats", "0", "0"),
-])
+BOUND_CASES = [
+    ("positioning", "isd_m", "-200", "> 0.0"),
+    ("positioning", "span_m", "0", "> 0.0"),
+    ("positioning", "speed_kmh", "-130", "> 0.0"),
+    ("positioning", "dt_s", "0", "> 0.0"),
+    ("positioning", "snake_period_m", "0", "> 0.0"),
+    ("positioning", "nb_fused_bs", "0", "> 0"),
+    ("positioning", "decimation", "-1", "> 0"),
+    ("scheduler", "speed_kmh", "0", "> 0.0"),
+    ("scheduler", "speed_kmh", "-140", "> 0.0"),
+    ("hst", "span_m", "0", "> 0.0"),
+    ("hst", "isd_m", "-700", "> 0.0"),
+    ("hst", "speed_kmh", "0", "> 0.0"),
+    ("hst", "esm_beta", "0", "> 0.0"),
+    ("hst", "max_harq_retx", "-1", "> -1"),
+    ("scheduler", "duration_s", "0", "> 0.0"),
+    ("scheduler", "isd_m", "0", "> 0.0"),
+    ("scheduler", "file_size_mb", "-50", "> 0.0"),
+    ("qos", "trace_repeats", "0", "> 0"),
+    ("hst", "cdd_us", "-1e-06", ">= 0.0"),
+    ("scheduler", "densities_mbps_km2", "150, -1", ">= 0.0"),
+    ("scheduler", "drop_fractions", "0, -0.5", ">= 0.0"),
+    ("scheduler", "drop_fractions", "0, 1.5", "<= 1.0"),
+    ("positioning", "site_height_m", "-1", ">= 0.0"),
+]
+
+
+@pytest.mark.parametrize("study,key,value,bound", BOUND_CASES,
+                         ids=["-".join([*case[:3], case[3].split()[1]]) for case in BOUND_CASES])
 def test_non_positive_values_rejected_with_key_and_line(study, key, value, bound):
-    message = f"line 4: key '{key}' must be > {bound}, got '{value}'"
+    message = f"line 4: key '{key}' must be {bound}, got '{value}'"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         parse_config(f"[{study}]\nseed = 1\n\n{key} = {value}\n")
+
+
+def test_inclusive_bounds_accept_zero():
+    assert parse_config("[hst]\ncdd_us = 0\n").params["cdd_us"] == 0.0
+    assert parse_config("[positioning]\nsite_height_m = 0\n").params["site_height_m"] == 0.0
+    p = parse_config("[scheduler]\ndensities_mbps_km2 = 0, 10\ndrop_fractions = 0, 1\n").params
+    assert p["densities_mbps_km2"] == (0.0, 10.0) and p["drop_fractions"] == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("text", [
+    "[hst]\nisd_m = 1e200\nspan_m = 20\n",
+    "[hst]\ntrack_offset_m = -1e200\nspan_m = 20\nscheme = DPS\n",
+    "[hst]\ntrack_offset_m = 1e308\nspan_m = 20\n",
+], ids=["isd_1e200", "offset_-1e200", "offset_1e308"])
+def test_cli_rejects_site_coordinates_that_overflow(tmp_path, capsys, text):
+    # Ranges square the coordinates; past the bound they would overflow to
+    # inf and write NaN SNRs instead of failing.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "hst.csv").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -375,7 +407,7 @@ def test_repeated_float_list_value_rejected_with_key_and_line(study, key, values
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"line 3: key '{key}' repeats a value: '{values}'")):
         parse_config(f"[{study}]\nseed = 1\n{key} = {values}\n")
-    parse_config(f"[{study}]\nseed = 1\n{key} = 1, 2\n")
+    parse_config(f"[{study}]\nseed = 1\n{key} = 0.25, 0.5\n")  # in range for every key
 
 
 @pytest.mark.parametrize("rows,message", [

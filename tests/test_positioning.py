@@ -39,7 +39,7 @@ def _scenario(span=1000.0):
 
 def _truth(site, position):
     """(range, az, el) of the direct path, az/el seen from the vehicle toward the site."""
-    delta, dist = los_geometry(site.position[None], np.asarray(position, dtype=float)[None])
+    delta, dist = los_geometry(site[None], np.asarray(position, dtype=float)[None])
     return float(dist[0, 0]), float(azimuth(-delta[0, 0])), float(elevation(-delta[0, 0]))
 
 
@@ -75,7 +75,7 @@ def test_noise_free_measurements_match_geometry():
     for frame in frames[:5]:
         idx = int(round(frame.t / 0.01))
         for m in frame.per_site:
-            r, az, el = _truth(deployment.sites[m.site_id], trajectory.position[idx])
+            r, az, el = _truth(deployment.positions[m.site_id], trajectory.position[idx])
             assert abs(m.range_m - r) < 1e-9
             assert abs(m.aoa_az - az) < 1e-12
             assert abs(m.aoa_el - el) < 1e-12
@@ -109,14 +109,13 @@ def _batch_nls(frames, deployment, params, x0):
     """Independent oracle: per-frame nonlinear least squares over (x, y)."""
     from nrtransport.positioning import _measurement_model
 
-    sites = {s.id: s.position for s in deployment.sites}
     solutions = []
     guess = np.asarray(x0, dtype=float)
     for frame in frames:
         def resid(xy, frame=frame):
             out = []
             for m in frame.per_site:
-                h, _ = _measurement_model(xy, sites[m.site_id])
+                h, _ = _measurement_model(xy, deployment.positions[m.site_id])
                 out.extend([m.range_m - h[0], m.aoa_az - h[1], m.aoa_el - h[2]])
             return np.asarray(out)
 
@@ -149,7 +148,7 @@ def test_ekf_matches_batch_least_squares_on_noise_free_data():
 
 def test_covariance_contracts_on_repeated_static_updates():
     deployment, _ = _scenario()
-    per_site = [SiteMeasurement(sid, *_truth(deployment.sites[sid], [100.0, 0.0, 1.5]), 15.0) for sid in (0, 1)]
+    per_site = [SiteMeasurement(sid, *_truth(deployment.positions[sid], [100.0, 0.0, 1.5]), 15.0) for sid in (0, 1)]
     frames = [
         MeasurementFrame(t=0.01 * i, per_site=tuple(per_site), imu_accel=np.zeros(2))
         for i in range(50)
@@ -186,7 +185,7 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     # range: the solve is a direct geometric inversion, so its error equals
     # the error of the perturbed intersection point. Compare medians.
     deployment, _ = _scenario()
-    site = deployment.sites[0]
+    site = deployment.positions[0]
     position = np.array([90.0, 5.0, 1.5])
     true_range, true_az, true_el = _truth(site, position)
     sigma_r, sigma_a = 0.5, math.radians(1.0)
@@ -201,15 +200,15 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     r = true_range + dr
     az = true_az + daz
     el = true_el + del_
-    x = site.position[0] - r * np.cos(az) * np.cos(el)
-    y = site.position[1] - r * np.sin(az) * np.cos(el)
+    x = site[0] - r * np.cos(az) * np.cos(el)
+    y = site[1] - r * np.sin(az) * np.cos(el)
     oracle_median = np.median(np.hypot(x - position[0], y - position[1]))
 
     rng = substream(11, "solve")
     errs = []
     for _ in range(2000):
         m = SiteMeasurement(
-            site.id,
+            0,
             true_range + rng.normal(0, sigma_r),
             true_az + rng.normal(0, sigma_a),
             true_el + rng.normal(0, sigma_a),
@@ -224,10 +223,9 @@ def _weighted_nls(frame, deployment, params):
     """Independent oracle: the frame's weighted least-squares fix from scipy,
     with the solver's weights (1 / noise std of each observable), its angle
     wrap and its starting point, and the geometry written out in numpy."""
-    site = {s.id: s.position for s in deployment.sites}
     snr = frame.per_site[0].snr_db
     w = np.array([1.0 / params.noise.range_sigma(snr)] + [1.0 / params.noise.angle_sigma(snr)] * 2)
-    pos = np.array([site[m.site_id] for m in frame.per_site])
+    pos = deployment.positions[[m.site_id for m in frame.per_site]]
     z = np.array([[m.range_m, m.aoa_az, m.aoa_el] for m in frame.per_site])
 
     def resid(xy):
@@ -241,7 +239,7 @@ def _weighted_nls(frame, deployment, params):
 
     best = frame.per_site[0]
     u = np.array([np.cos(best.aoa_az) * np.cos(best.aoa_el), np.sin(best.aoa_az) * np.cos(best.aoa_el)])
-    x0 = site[best.site_id][:2] - best.range_m * u
+    x0 = deployment.positions[best.site_id, :2] - best.range_m * u
     return least_squares(resid, x0, jac="3-point", method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
 
 
@@ -261,7 +259,7 @@ def test_nr_only_matches_weighted_least_squares_oracle(n_sites):
 def _two_site_frame(deployment):
     per_site = []
     for sid in (0, 1):
-        r, az, el = _truth(deployment.sites[sid], [90.0, 5.0, 1.5])
+        r, az, el = _truth(deployment.positions[sid], [90.0, 5.0, 1.5])
         per_site.append(SiteMeasurement(sid, r + 0.1 * sid, az, el, 15.0))
     return MeasurementFrame(t=0.0, per_site=tuple(per_site), imu_accel=np.zeros(2))
 

@@ -7,6 +7,7 @@ import pytest
 
 from nrtransport import (
     ConfigurationError,
+    Deployment,
     build_linear_deployment,
     build_rail_deployment,
     linear_trajectory,
@@ -16,17 +17,19 @@ from nrtransport import (
 
 def test_highway_deployment_site_count_and_span():
     dep = build_linear_deployment(200, 40, 10, 10000)
-    assert len(dep.sites) == 51
-    coords = dep.along_road_coordinates()
+    assert dep.positions.shape == (51, 3)
+    coords = dep.positions[:, 0]
     assert coords[0] == 0.0
     assert coords[-1] == 10000.0
     assert np.max(np.abs(np.diff(coords) - 200.0)) < 1e-9
-    assert all(s.position[1] == 40.0 and s.position[2] == 10.0 for s in dep.sites)
+    assert np.all(dep.positions[:, 1] == 40.0) and np.all(dep.positions[:, 2] == 10.0)
+    assert dep.downtilt == 0.0
 
 
 def test_macro_deployment_two_sites():
     dep = build_linear_deployment(1732, 0, 35, 1732)
-    assert len(dep.sites) == 2
+    assert len(dep.positions) == 2
+    assert dep.isd == 1732.0
 
 
 def test_span_shorter_than_isd_rejected():
@@ -38,20 +41,39 @@ def test_span_shorter_than_isd_rejected():
 
 def test_rail_deployment_four_sites_with_downtilt():
     dep = build_rail_deployment(700, 10)
-    xs = [s.position[0] for s in dep.sites]
-    assert xs == [0.0, 700.0, 1400.0, 2100.0]
-    assert all(s.position[2] == 35.0 for s in dep.sites)
-    assert all(abs(s.downtilt - math.radians(10.0)) < 1e-15 for s in dep.sites)
+    assert dep.positions.tolist() == [[x, 10.0, 35.0] for x in (0.0, 700.0, 1400.0, 2100.0)]
+    assert abs(dep.downtilt - math.radians(10.0)) < 1e-15
     with pytest.raises(ConfigurationError):
         build_rail_deployment(0, 10)
 
 
 def test_reflection_symmetry_of_site_coordinates():
     dep = build_linear_deployment(200, 40, 10, 1000)
-    coords = dep.along_road_coordinates()
+    coords = dep.positions[:, 0]
     # Reversing the road axis reflects the along-road coordinates.
     reflected = sorted(-c for c in coords)
     assert np.allclose(np.diff(reflected), np.diff(coords))
+
+
+@pytest.mark.parametrize("positions,downtilt", [
+    (np.zeros((2, 2)), 0.0),
+    (np.zeros((0, 3)), 0.0),
+    ([[0.0, 0.0, 10.0], [200.0, np.nan, 10.0]], 0.0),
+    ([[0.0, 0.0, 10.0], [200.0, 0.0, -1.0]], 0.0),
+    ([[200.0, 0.0, 10.0], [0.0, 0.0, 10.0]], 0.0),
+    ([[0.0, 0.0, 10.0], [200.0, 0.0, 10.0], [500.0, 0.0, 10.0]], 0.0),
+    ([[0.0, 0.0, 10.0], [200.0, 0.0, 10.0]], math.pi / 2),
+    ([[0.0, 0.0, 10.0], [200.0, 2e9, 10.0]], 0.0),
+], ids=["shape_n_2", "empty", "nan", "negative_height", "unsorted_x", "uneven_spacing",
+        "downtilt_pi_2", "beyond_coordinate_bound"])
+def test_malformed_deployment_rejected(positions, downtilt):
+    with pytest.raises(ConfigurationError):
+        Deployment(positions, downtilt)
+
+
+def test_deployment_accepts_the_bounds():
+    dep = Deployment([[0.0, -1e9, 0.0], [1e9, 1e9, 1e9]], downtilt=0.0)
+    assert dep.isd == 1e9
 
 
 def test_highway_speed_conversion():

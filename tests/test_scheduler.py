@@ -67,11 +67,15 @@ def _shadow_for(gain_db, x):
     return gain_db + float(pathloss_db(d))
 
 
-def test_single_static_user_gets_full_shannon_rate():
+@pytest.mark.parametrize("isd", [1732.0, 4000.0])
+def test_single_static_user_gets_full_shannon_rate(isd):
+    # The link budget is anchored at 866 m whatever the ISD: a user's rate
+    # depends on its gain alone, not on the size of its cell.
     params = CellParams()
     traffic = TrafficConfig(0.0, file_size_bits=1e15, vehicle_speed_kmh=1e-9)
     users = [(100.0, 1.0, _shadow_for(-100.0, 100.0), 1e15)]
-    stats = simulate_cell(_deployment(), traffic, DropPolicy(0.0), 10.0, 1, params, initial_users=users)
+    deployment = build_linear_deployment(isd, 0, 35, isd)
+    stats = simulate_cell(deployment, traffic, DropPolicy(0.0), 10.0, 1, params, initial_users=users)
     expected = _closed_form_rate(-100.0, params)
     assert abs(mean_user_throughput(stats) - expected) / expected < 1e-9
 
