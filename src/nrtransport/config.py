@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .scenario import MAX_COORDINATE_M, MIN_SNAKE_PERIOD_M
 
 STUDIES = ("positioning", "hst", "scheduler", "qos")
 
@@ -45,8 +46,8 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "site_height_m": FieldSpec("float", 10.0, at_least=0.0),
         "span_m": FieldSpec("float", 10000.0, above=0.0),
         "speed_kmh": FieldSpec("float", 130.0, above=0.0),
-        "snake_amplitude_m": FieldSpec("float", 3.5),
-        "snake_period_m": FieldSpec("float", 500.0, above=0.0),
+        "snake_amplitude_m": FieldSpec("float", 3.5, at_least=-MAX_COORDINATE_M, at_most=MAX_COORDINATE_M),
+        "snake_period_m": FieldSpec("float", 500.0, above=0.0, at_least=MIN_SNAKE_PERIOD_M),
         "dt_s": FieldSpec("float", 0.01, above=0.0),
         "decimation": FieldSpec("int", 10, above=0),
     },

@@ -20,9 +20,13 @@ UE_HEIGHT_M = 1.5  # vehicle antenna height
 # samples.
 MAX_SITES = 1_000
 MAX_TRAJECTORY_SAMPLES = 1_000_000
-# Bound on every site coordinate: ranges are computed by squaring, which
-# overflows near 1e154 m.
+# Bound on every site coordinate and on the snake trajectory's lateral
+# amplitude: ranges are computed by squaring, which overflows near 1e154 m.
 MAX_COORDINATE_M = 1e9
+# Shortest snake period a config may set: a lateral swing shorter than 1 m of
+# road is no lane change, and the IMU's lateral acceleration grows as
+# 1/period^2.
+MIN_SNAKE_PERIOD_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,11 @@ def snake_trajectory(speed_kmh: float, span: float, amplitude: float, period: fl
     t = np.arange(n) * dt
     x = v * t
     k = 2.0 * math.pi / period
+    if not math.isfinite(amplitude * (k * v) * (k * v)):
+        raise ConfigurationError(
+            f"snake amplitude {amplitude:g} m over period {period:g} m at {speed_kmh:g} km/h "
+            "gives a non-finite lateral acceleration"
+        )
     y = 0.0 + amplitude * np.sin(k * x)  # 0.0 + turns -0.0 into 0.0
     vy = amplitude * k * v * np.cos(k * x)
     ay = -amplitude * (k * v) ** 2 * np.sin(k * x)

@@ -22,13 +22,16 @@ from .scenario import KMH, Deployment
 # gets a row in the per-user columns, drawn at once, and the slot loop is
 # linear in the users present; the default heaviest point expects about 1,000.
 MAX_EXPECTED_ARRIVALS = 1_000_000
-# Upper bound on the slots of one cell, which the slot loop walks one by one;
+# Upper bound on the slots of one cell, which the slot loop walks in blocks;
 # the default study runs 20,000.
 MAX_SLOTS = 1_000_000
 # Path loss at 866 m, the cell edge of the default 1,732 m inter-site
 # distance. It anchors the link budget at every ISD: the transmit power is
 # fixed, so a smaller or larger cell sees a higher or lower SNR at its edge.
 EDGE_PATHLOSS_DB = pathloss_db(866.0)
+# Slots the slot loop evaluates per step; a completion ends a block early.
+# Not a model parameter: every block size gives the same results.
+SLOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,18 @@ class UserRecord:
 def deferred_mask(gains: np.ndarray, ids: np.ndarray, policy: DropPolicy) -> np.ndarray:
     """Which users the policy defers, given their path gains (dB) and ids.
 
-    The policy defers the floor(rho * n) users with the lowest gain; ties
-    break by user id so the partition is deterministic.
+    Users lie along the last axis of ``gains``; each row (a slot) is
+    partitioned on its own, and a user absent from a row has gain +inf there.
+    The policy defers the floor(rho * n) present users with the lowest gain;
+    ties break by user id so the partition is deterministic. A 1-D ``gains``
+    is the one-row case.
     """
-    deferred = np.zeros(len(gains), dtype=bool)
-    n_defer = int(math.floor(policy.drop_fraction * len(gains)))
-    if n_defer:
-        deferred[np.lexsort((ids, gains))[:n_defer]] = True  # lowest gain first, ties by id
+    deferred = np.zeros(gains.shape, dtype=bool)
+    if policy.drop_fraction == 0.0:
+        return deferred
+    n_defer = np.floor(policy.drop_fraction * np.sum(gains < np.inf, axis=-1))
+    order = np.lexsort((np.broadcast_to(ids, gains.shape), gains), axis=-1)  # lowest gain first, ties by id
+    np.put_along_axis(deferred, order, np.arange(gains.shape[-1]) < n_defer[..., None], axis=-1)
     return deferred
 
 
@@ -107,15 +115,14 @@ class CellStats:
     duration: float
 
 
-def _snr_db(gain_db: np.ndarray, params: CellParams) -> np.ndarray:
+def _snr_db(gain_db: float, params: CellParams) -> float:
     return params.cell_edge_snr_db + (gain_db + EDGE_PATHLOSS_DB)
 
 
-def _rate_bps(snr_db: np.ndarray, params: CellParams) -> np.ndarray:
-    snr_db = np.asarray(snr_db)
-    se = np.log2(1.0 + 10.0 ** (snr_db / 10.0))
-    se = np.where(snr_db < params.min_snr_db, 0.0, np.minimum(se, params.peak_se))
-    return params.bandwidth_hz * se
+def _rate_bps(snr_db: float, params: CellParams) -> float:
+    if snr_db < params.min_snr_db:
+        return 0.0
+    return params.bandwidth_hz * min(np.log2(1.0 + 10.0 ** (snr_db / 10.0)), params.peak_se)
 
 
 def simulate_cell(
@@ -129,9 +136,15 @@ def simulate_cell(
 ) -> CellStats:
     """Event loop over TDM slots for one cell (the first deployed site).
 
-    State is kept in parallel column arrays; the per-slot work (positions,
-    gains from macro_pathgain, the deferred_mask partition, round-robin pick)
-    is vectorized over the users currently in the system.
+    State is kept in parallel column arrays, and the loop advances up to
+    ``SLOT_BLOCK`` slots per step. A block takes the users present at its
+    start plus its arrivals (a user is present from the first slot at or
+    after its arrival time) and evaluates, over (slots x users), positions,
+    gains from macro_pathgain and the row-wise deferred_mask partition. It
+    then walks its slots: each serves the round-robin pick, at the rate of
+    its own gain, and a completion ends the block at that slot, so the users
+    of a block only ever arrive. Admission times, last gains and the
+    eligible-fraction terms (summed in slot order) come from the walked rows.
 
     ``initial_users`` places deterministic users at t = 0 in addition to the
     Poisson arrivals; each entry is (entry_x_m, direction, shadow_db,
@@ -181,49 +194,74 @@ def simulate_cell(
     first_admitted_t = np.full(n_arrivals, np.nan)
     completion_t = np.full(n_arrivals, np.nan)
     last_gain = np.zeros(n_arrivals)
-    active = np.zeros(n_arrivals, dtype=bool)
     ids = np.arange(n_arrivals)
 
+    slot_t = np.arange(n_slots) * params.slot_s
+    first_slot = np.searchsorted(slot_t, arrival_t)  # first slot at or after arrival
+    present_ids = np.zeros(0, dtype=int)  # users in the system, by id
     rr_cursor = 0  # round-robin position by user id order
     elig_frac_sum = 0.0
     elig_frac_slots = 0
     next_arrival = 0
     span = 2.0 * half_span
 
-    for si in range(n_slots):
-        t = si * params.slot_s
-        while next_arrival < n_arrivals and arrival_t[next_arrival] <= t:
-            active[next_arrival] = True
-            next_arrival += 1
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
-            continue
+    si = 0
+    while si < n_slots:
+        if not len(present_ids):  # skip the slots with no user
+            if next_arrival == n_arrivals or first_slot[next_arrival] >= n_slots:
+                break
+            si = int(first_slot[next_arrival])
+        stop = min(si + SLOT_BLOCK, n_slots)
+        cols = np.concatenate([present_ids, np.arange(next_arrival, np.searchsorted(first_slot, stop))])
+        present = first_slot[cols] <= np.arange(si, stop)[:, None]
+        t = slot_t[si:stop, None]
 
-        x = entry_x[idx] + direction[idx] * speed * (t - arrival_t[idx])
+        x = entry_x[cols] + direction[cols] * speed * (t - arrival_t[cols])
         x = (x + half_span) % span - half_span  # wrap to the next cell
-        gains = macro_pathgain(site, x, shadow[idx])
-        last_gain[idx] = gains
+        gains = np.where(present, macro_pathgain(site, x, shadow[cols]), np.inf)
+        eligible = present & ~deferred_mask(gains, cols, policy)
 
-        elig_idx = idx[~deferred_mask(gains, idx, policy)]
-        newly = elig_idx[~admitted[elig_idx]]
-        admitted[newly] = True
-        first_admitted_t[newly] = t
-        elig_frac_sum += len(elig_idx) / len(idx)
-        elig_frac_slots += 1
-
-        backlogged = elig_idx[backlog[elig_idx] > 0]
-        if len(backlogged):
-            # Round-robin by id order: first id at or past the cursor, wrapping.
-            pos = np.searchsorted(backlogged, rr_cursor)
-            chosen = int(backlogged[pos]) if pos < len(backlogged) else int(backlogged[0])
+        # Round-robin by id order: per row, the first backlogged eligible
+        # column at or past each column (n_cols when there is none); a slot
+        # takes the first at or past the cursor, wrapping to the first.
+        n_rows, n_cols = present.shape
+        cand = np.full((n_rows, n_cols + 1), n_cols)
+        cand[:, :n_cols] = np.where(eligible & (backlog[cols] > 0), np.arange(n_cols), n_cols)
+        nxt = np.minimum.accumulate(cand[:, ::-1], axis=1)[:, ::-1]
+        pos = int(np.searchsorted(cols, rr_cursor))
+        last = n_rows - 1
+        completed = -1
+        for r in range(n_rows):
+            c = nxt.item(r, pos)
+            if c == n_cols:
+                c = nxt.item(r, 0)
+                if c == n_cols:
+                    continue
+            chosen = int(cols[c])
+            pos = c + 1
             rr_cursor = chosen + 1
-            snr = _snr_db(last_gain[chosen], params)
+            snr = _snr_db(gains[r, c], params)
             bits = min(_rate_bps(snr, params) * params.slot_s, backlog[chosen])
             served[chosen] += bits
             backlog[chosen] -= bits
             if backlog[chosen] <= 0:
-                completion_t[chosen] = t + params.slot_s
-                active[chosen] = False
+                completion_t[chosen] = slot_t[si + r] + params.slot_s
+                completed, last = chosen, r  # the block ends at a completion
+                break
+
+        eligible = eligible[: last + 1]
+        n_present = np.sum(present[: last + 1], axis=1)
+        for term in (np.sum(eligible, axis=1) / n_present).tolist():
+            elig_frac_sum += term
+        elig_frac_slots += last + 1
+        newly = ~admitted[cols] & np.any(eligible, axis=0)
+        admitted[cols[newly]] = True
+        first_admitted_t[cols[newly]] = slot_t[si + np.argmax(eligible[:, newly], axis=0)]
+        in_last = present[last]
+        last_gain[cols[in_last]] = gains[last, in_last]
+        present_ids = cols[in_last & (cols != completed)]
+        next_arrival = int(np.searchsorted(first_slot, si + last + 1))
+        si += last + 1
 
     users = []
     for i in range(n_arrivals):

@@ -354,6 +354,27 @@ def test_cli_rejects_site_coordinates_that_overflow(tmp_path, capsys, text):
     assert not (tmp_path / "out" / "hst.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[positioning]\nsnake_amplitude_m = 1e200\nspan_m = 400\n",
+     "line 2: key 'snake_amplitude_m' must be <= 1000000000.0, got '1e200'"),
+    ("[positioning]\nspan_m = 400\nsnake_amplitude_m = -1e200\n",
+     "line 3: key 'snake_amplitude_m' must be >= -1000000000.0, got '-1e200'"),
+    ("[positioning]\nsnake_period_m = 1e-300\n", "line 2: key 'snake_period_m' must be >= 1.0, got '1e-300'"),
+    ("[positioning]\nspeed_kmh = 1e300\ndt_s = 1e-300\nspan_m = 400\n", "gives a non-finite lateral acceleration"),
+], ids=["amplitude_1e200", "amplitude_-1e200", "period_1e-300", "speed_1e300"])
+def test_cli_rejects_trajectories_that_overflow(tmp_path, capsys, text, message):
+    # The lateral offset is a coordinate that ranges square, and the IMU's
+    # lateral acceleration is amplitude * (2 pi v / period)^2: past the bounds
+    # they overflow to inf, or raise OverflowError, instead of failing.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out" / "positioning.csv").exists()
+
+
 @pytest.mark.parametrize("text", [
     "[positioning]\nisd_m = 1e-300\n",
     "[positioning]\nisd_m = 0.001\n",

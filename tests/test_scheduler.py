@@ -1,5 +1,6 @@
 """Macro-cell scheduler: drop-policy partition, round-robin service, sweep behavior."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from nrtransport import (
     mean_user_throughput,
     simulate_cell,
 )
+from nrtransport import scheduler
 from nrtransport.channel import pathloss_db
 from nrtransport.cli import main as cli_main
 from nrtransport.errors import ConfigurationError
@@ -44,6 +46,29 @@ def test_classify_quantile_invariant_to_gain_offset():
     deferred = _deferred(gains, DropPolicy(0.4))
     assert deferred == [1, 3]
     assert _deferred(gains + 17.0, DropPolicy(0.4)) == deferred
+
+
+def test_rowwise_partition_is_the_one_row_partition_per_row():
+    # Integer gains tie often; absent users (+inf) sit in random columns.
+    rng = np.random.default_rng(5)
+    gains = rng.integers(-106, -100, (60, 12)).astype(float)
+    present = rng.random(gains.shape) < 0.6
+    present[0], present[1] = False, True
+    gains[~present] = np.inf
+    ids = 3 * np.arange(12) + 5
+    for rho in (0.0, 0.3, 0.5, 1.0):
+        mask = deferred_mask(gains, ids, DropPolicy(rho))
+        assert not mask[~present].any()
+        for row_gains, row_mask, row_present in zip(gains, mask, present):
+            one_row = deferred_mask(row_gains[row_present], ids[row_present], DropPolicy(rho))
+            assert row_mask[row_present].tolist() == one_row.tolist()
+        if rho == 1.0:
+            assert (mask == present).all()
+    # The cut falls inside a run of tied gains, so the id order decides.
+    row = np.array([-101.0, -103.0, -103.0, -103.0, np.inf, -100.0])
+    assert deferred_mask(np.stack([row, row]), np.arange(6), DropPolicy(0.5)).tolist() == [
+        [False, True, True, False, False, False]
+    ] * 2
 
 
 def test_classify_validation():
@@ -191,3 +216,45 @@ def test_run_shorter_than_one_slot_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error:" in err and "shorter than one 0.01 s slot" in err
     assert not (tmp_path / "out" / "scheduler.csv").exists()
+
+
+def _outcome(traffic, rho, duration, seed, initial_users=None):
+    stats = simulate_cell(_deployment(), traffic, DropPolicy(rho), duration, seed, initial_users=initial_users)
+    return [dataclasses.astuple(u) for u in stats.users], stats.eligible_fraction_time_avg
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    # The slot loop evaluates slots in blocks, and a completion ends a block
+    # early. The block size is not a parameter of the model, so every size
+    # must give the same results.
+    seeded = [
+        (50.0, 1.0, _shadow_for(-80.0, 50.0), 4e6),
+        (800.0, 1.0, _shadow_for(-150.0, 800.0), 0.0),  # zero backlog: present, never served
+        (-400.0, -1.0, 3.0, 3e7),
+    ]
+    cells = [
+        (TrafficConfig(20.0, file_size_bits=2e6), 10.0, 1, None),  # small files, idle stretches
+        (TrafficConfig(600.0, file_size_bits=2e7), 5.0, 2, None),  # about 100 users at once
+        (TrafficConfig(300.0, file_size_bits=4e7), 5.0, 3, seeded),
+    ]
+    default = scheduler.SLOT_BLOCK
+    by_block = {}
+    for block in (1, 7, default):
+        monkeypatch.setattr(scheduler, "SLOT_BLOCK", block)
+        by_block[block] = [
+            _outcome(traffic, rho, duration, seed, users)
+            for rho in (0.0, 0.5, 1.0)
+            for traffic, duration, seed, users in cells
+        ]
+    assert by_block[1] == by_block[7] == by_block[default]
+
+    slot = CellParams().slot_s
+    idle, _, seeded_cell = (users for users, _ in by_block[default][: len(cells)])
+    # Some slots see no user at all: a user arrives after every earlier one left.
+    ends = [math.inf if u[6] is None else u[6] for u in idle]
+    assert any(u[1] > max(ends[:i], default=0.0) + 2 * slot for i, u in enumerate(idle))
+    # Completions land inside blocks, and transfers run past a default block.
+    spans = [round((u[6] - u[5]) / slot) for u in idle if u[6] is not None]
+    assert min(spans) < 7 and max(spans) > default
+    zero = seeded_cell[1]
+    assert zero[2] == 0.0 and zero[3] == 0.0 and zero[6] is None
