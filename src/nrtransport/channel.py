@@ -99,12 +99,14 @@ def default_rail_profile() -> TapProfile:
 class TapArrays:
     """Tapped-delay-line parameters of every (sample, site) link.
 
-    The tap arrays have shape (samples, sites, taps), taps in profile order.
-    Only the LoS phase is set; non-LoS phases are left at 0 for the caller to
-    draw.
+    A tap's delay is its link's LoS delay plus its profile offset
+    (``TapProfile.delay_ns``, the same for every link), so only the LoS delays
+    are kept, shape (samples, sites). The other arrays have shape (samples,
+    sites, taps), taps in profile order. Only the LoS phase is set; non-LoS
+    phases are left at 0 for the caller to draw.
     """
 
-    delays: np.ndarray  # s
+    los_delays: np.ndarray  # s
     dopplers: np.ndarray  # Hz
     amps: np.ndarray  # linear amplitude; squares sum to the link gain
     phases: np.ndarray  # rad
@@ -118,7 +120,7 @@ def tdl_taps(
     carrier_hz: float,
     link_gains: np.ndarray,
 ) -> TapArrays:
-    """Tap delays, Dopplers, amplitudes and LoS phases of every link.
+    """LoS delays and tap Dopplers, amplitudes and LoS phases of every link.
 
     ``site_positions`` has shape (sites, 3), ``positions`` and ``velocities``
     (samples, 3), and ``link_gains`` (samples, sites) in linear power. Tap
@@ -132,7 +134,7 @@ def tdl_taps(
     los_idx = int(np.argmax(profile.los_flag))
     shape = (len(positions), len(site_positions), len(profile))
     out = TapArrays(
-        delays=np.empty(shape), dopplers=np.empty(shape), amps=np.empty(shape), phases=np.zeros(shape),
+        los_delays=np.empty(shape[:2]), dopplers=np.empty(shape), amps=np.empty(shape), phases=np.zeros(shape),
     )
     for k, site in enumerate(site_positions):
         # One site at a time: the vectors of every site at once would add to
@@ -147,7 +149,7 @@ def tdl_taps(
         arrival[..., 1] = np.sin(aoa)
         dop = np.einsum("stj,sj->st", arrival, velocities[:, :2]) * carrier_hz / SPEED_OF_LIGHT
         dop[:, los_idx] = los_dop
-        out.delays[:, k, :] = tau_los[:, None] + profile.delay_ns[None, :] * 1e-9
+        out.los_delays[:, k] = tau_los
         out.dopplers[:, k, :] = dop
         out.amps[:, k, :] = np.sqrt(p_lin[None, :] * link_gains[:, k][:, None])
         out.phases[:, k, los_idx] = -2.0 * math.pi * carrier_hz * tau_los % (2.0 * math.pi)
@@ -161,27 +163,32 @@ def tdl_taps(
 def batched_freq_response(
     gains: np.ndarray,
     delays: np.ndarray,
+    tap_delays: np.ndarray,
     dopplers: np.ndarray,
     symbol_times: np.ndarray,
     subcarrier_freqs: np.ndarray,
 ) -> np.ndarray:
     """Superpose per-TRP tapped-delay-line channels on OFDM grids, many slots at once.
 
-    ``gains`` (complex), ``delays`` and ``dopplers`` have shape
-    (slots, trp, taps); delays already include any cyclic delay and dopplers
-    any precompensation shift. ``symbol_times`` has shape (slots, symbols).
-    Returns H with shape (slots, symbols, subcarriers):
+    ``gains`` (complex) and ``dopplers`` have shape (slots, trp, taps), dopplers
+    including any precompensation shift. ``delays`` (slots, trp) are the TRPs'
+    base delays, including any cyclic delay; tap k arrives ``tap_delays[k]``
+    later on every TRP, so the taps' frequency terms are one (taps x
+    subcarriers) table, applied to each TRP's time terms in one matrix product.
+    ``symbol_times`` has shape (slots, symbols). Returns H (slots, symbols, subcarriers):
 
-    H_s(t, f) = sum_trp sum_tap g exp(j 2 pi doppler t) exp(-j 2 pi f delay).
+    H_s(t, f) = sum_trp exp(-j 2 pi f delay) sum_tap g exp(j 2 pi doppler t) exp(-j 2 pi f tap_delay).
     """
     t = np.asarray(symbol_times, dtype=float)
     f = np.asarray(subcarrier_freqs, dtype=float)
-    n_slots, n_trp, _ = gains.shape
-    h = np.zeros((n_slots, t.shape[1], len(f)), dtype=complex)
-    for k in range(n_trp):
-        time_phase = np.exp(2j * math.pi * (t[:, :, None] * dopplers[:, None, k, :]))
-        freq_phase = np.exp(-2j * math.pi * (delays[:, k, :, None] * f))
-        h += (time_phase * gains[:, None, k, :]) @ freq_phase
+    tap_freq = np.exp(-2j * math.pi * np.multiply.outer(tap_delays, f))
+    time_phase = np.exp(2j * math.pi * (t[:, None, :, None] * dopplers[:, :, None])) * gains[:, :, None]
+    base = np.exp(-2j * math.pi * (delays[:, :, None] * f))
+    # TRP by TRP: one flat product over every TRP would hold a TRP axis more,
+    # and OpenBLAS would run it on a second thread for no shorter wall time.
+    h = (time_phase[:, 0] @ tap_freq) * base[:, 0, None]
+    for k in range(1, gains.shape[1]):
+        h += (time_phase[:, k] @ tap_freq) * base[:, k, None]
     return h
 
 

@@ -57,7 +57,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "track_offset_m": FieldSpec("float", 10.0),
         "speed_kmh": FieldSpec("float", 500.0, above=0.0),
         "span_m": FieldSpec("float", 2100.0, above=0.0),
-        "anchor_snr_db": FieldSpec("float", 16.0),
+        "anchor_snr_db": FieldSpec("float", 16.0, at_least=-300.0, at_most=300.0),  # keeps the noise power finite
         "cdd_us": FieldSpec("float", 1.0, at_least=0.0),
         "esm_beta": FieldSpec("float", 5.0, above=0.0),
         "max_harq_retx": FieldSpec("int", 3, above=-1),

@@ -7,13 +7,13 @@ SINR -> exponential effective-SNR mapping per code block -> logistic block
 error curve, with Chase-combining HARQ modeled as linear SNR accumulation.
 
 The taps of every slot and TRP come from the one tapped-delay-line builder,
-``channel.tdl_taps``; the sweep adds only the non-LoS phases. The sweep is
-evaluated in fixed chunks of slots: per chunk, one batched frequency response
-(``channel.batched_freq_response``) gives the per-RE SINR of every slot, and
-the first attempt's ESM, BLER and pass/fail flags of every code block are
-computed at once. Only Chase-combining retransmissions, which depend on
-earlier outcomes, are evaluated slot by slot as the transport blocks are
-walked in order.
+``channel.tdl_taps``; the sweep adds only the non-LoS phases, and each tap's
+delay is its TRP's LoS delay (plus the CDD) and an offset from one constant
+table. Per fixed chunk of slots, one batched frequency response
+(``channel.batched_freq_response``) gives the per-RE SINR of every slot. One
+decode function maps rows of per-RE SINR to code-block ESM, BLER and pass/fail
+flags: a chunk's first attempts at once, and each Chase-combined
+retransmission, which depends on earlier outcomes, as one row in walk order.
 """
 
 from __future__ import annotations
@@ -173,6 +173,8 @@ class HstLinkParams:
     overhead_symbols: int = 1
 
     def __post_init__(self):
+        if not -300.0 <= self.anchor_snr_db <= 300.0:  # the noise power is finite and non-zero
+            raise ConfigurationError(f"anchor SNR must lie in [-300, 300] dB, got {self.anchor_snr_db}")
         if not self.esm_beta > 0:
             raise ConfigurationError(f"ESM beta must be positive, got {self.esm_beta}")
         if self.max_harq_retx < 0:
@@ -225,13 +227,13 @@ def run_hst_sweep(
     ch = tdl_taps(
         deployment.positions, trajectory.position, trajectory.velocity, PROFILE, CARRIER_HZ, gains_lin,
     )
-    n_slots, n_trp, _ = ch.delays.shape
+    n_slots, n_trp = ch.los_delays.shape
     nlos = ~PROFILE.los_flag.astype(bool)
     if np.any(nlos):
         for k in range(n_trp):
             rng = substream(seed, "hst", scheme.value, "phase", k)
             ch.phases[:, k, nlos] = rng.uniform(0.0, 2.0 * math.pi, (n_slots, int(np.sum(nlos))))
-    los_dopplers = ch.dopplers[:, :, int(np.argmax(PROFILE.los_flag))]
+    los = int(np.argmax(PROFILE.los_flag))
 
     # Noise power from the SNR anchor: SFN-combined power at x = 0.
     noise = float(np.sum(gains_lin[0])) / 10.0 ** (params.anchor_snr_db / 10.0)
@@ -243,11 +245,13 @@ def run_hst_sweep(
 
     sym_t_rel = (np.arange(n_data_symbols) + 0.5) * numerology.symbol_duration
     freqs = numerology.subcarrier_freqs(SUBCARRIER_STEP)
-    best_trp = np.argmax(gains_lin, axis=1)[:, None, None]
-
-    cdd = np.zeros(n_trp)
+    # The TRPs each slot transmits from: DPS serves from the strongest alone.
+    trps = np.broadcast_to(np.arange(n_trp), gains_lin.shape)
+    if scheme is Scheme.DPS:
+        trps = np.argmax(gains_lin, axis=1)[:, None]
+    base_delays = ch.los_delays.copy()
     if scheme is Scheme.SFN_CDD:
-        cdd[1::2] = params.cdd_delay_s
+        base_delays[:, 1::2] += params.cdd_delay_s
 
     draw = substream(seed, "hst", scheme.value, "bler").uniform(size=(n_slots, n_cb))
 
@@ -266,29 +270,27 @@ def run_hst_sweep(
 
     def chunk_sinr(lo: int, hi: int) -> np.ndarray:
         """Per-RE SINR (slots x data symbols x sampled subcarriers) of slots [lo, hi)."""
-        taps = [ch.amps[lo:hi], ch.phases[lo:hi], ch.delays[lo:hi], ch.dopplers[lo:hi]]
-        if scheme is Scheme.DPS:
-            taps = [np.take_along_axis(a, best_trp[lo:hi], axis=1) for a in taps]
-        amps, phases, delays, dopplers = taps
+        idx = (np.arange(lo, hi)[:, None], trps[lo:hi])
+        amps, dopplers = ch.amps[idx], ch.dopplers[idx]
         if scheme is Scheme.SFN_PRECOMP:
-            dopplers = dopplers - los_dopplers[lo:hi, :, None]
-        if scheme is Scheme.SFN_CDD:
-            delays = delays + cdd[:, None]
+            dopplers = dopplers - dopplers[:, :, los, None]
         t_abs = trajectory.t[lo:hi, None] + sym_t_rel
-        h = batched_freq_response(amps * np.exp(1j * phases), delays, dopplers, t_abs, freqs)
+        gains = amps * np.exp(1j * ch.phases[idx])
+        h = batched_freq_response(gains, base_delays[idx], PROFILE.delay_ns * 1e-9, dopplers, t_abs, freqs)
         if not shared_rs:
             return (np.abs(h) ** 2) / noise
-        # Power-weighted common frequency offset, accumulated TRP by TRP.
         w = amps**2
-        p_tot = np.zeros(hi - lo)
-        nu_acc = np.zeros(hi - lo)
-        for k in range(w.shape[1]):
-            p_tot = p_tot + np.sum(w[:, k], axis=-1)
-            nu_acc = nu_acc + np.sum(w[:, k] * dopplers[:, k], axis=-1)
-        nu_hat = nu_acc / p_tot
+        nu_hat = np.sum(w * dopplers, axis=(1, 2)) / np.sum(w, axis=(1, 2))  # power-weighted common offset
         detrended = h * np.exp(-2j * math.pi * nu_hat[:, None] * t_abs)[:, :, None]
         est_err = np.abs(resid_proj @ detrended) ** 2
         return (np.abs(h) ** 2) / (noise + est_err)
+
+    def decode(sinr_rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest code-block ESM (dB) of each row of per-RE SINR (rows x data symbols
+        x subcarriers), and whether all its code blocks decode against ``draws``."""
+        rows = len(sinr_rows)
+        eff = np.column_stack([_esm_db(sinr_rows[:, sl, :].reshape(rows, -1), params.esm_beta) for sl in cb_slices])
+        return np.min(eff, axis=1), np.all(draws >= bler(eff, mcs, params.bler_threshold_db), axis=1)
 
     def slot_stream():
         """(per-RE SINR, first-attempt ESM in dB, first-attempt success) per
@@ -296,19 +298,8 @@ def run_hst_sweep(
         for lo in range(0, n_slots, SLOT_CHUNK):
             hi = min(lo + SLOT_CHUNK, n_slots)
             sinr = chunk_sinr(lo, hi)
-            first_eff = np.full(hi - lo, np.inf)
-            failed = np.zeros(hi - lo, dtype=bool)
-            for ci, sl in enumerate(cb_slices):
-                eff = _esm_db(sinr[:, sl, :].reshape(hi - lo, -1), params.esm_beta)
-                first_eff = np.minimum(first_eff, eff)
-                failed |= draw[lo:hi, ci] < bler(eff, mcs, params.bler_threshold_db)
-            yield from zip(sinr, first_eff.tolist(), (~failed).tolist())
-
-    def decoded(acc: np.ndarray, s: int) -> bool:
-        return all(
-            draw[s, ci] >= bler(effective_snr(acc[sl], params.esm_beta), mcs, params.bler_threshold_db)
-            for ci, sl in enumerate(cb_slices)
-        )
+            first_eff, ok = decode(sinr, draw[lo:hi])
+            yield from zip(sinr, first_eff.tolist(), ok.tolist())
 
     slots = enumerate(slot_stream())
     results: list[SlotResult] = []
@@ -321,7 +312,7 @@ def run_hst_sweep(
             s, (sinr, _, _) = retx
             attempts += 1
             acc = acc + sinr  # Chase combining: linear SNR accumulation
-            ok = decoded(acc, s)
+            ok = bool(decode(acc[None], draw[s : s + 1])[1][0])
         results.append(
             SlotResult(
                 slot_index=start,

@@ -23,9 +23,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Largest number of windows summed in one window_bits call of the ar1 chains,
-# which bounds its memory when many chains are needed.
-_AR1_CELLS = 1 << 20
+# Largest number of windows a predictor sums in one window_bits call, which
+# bounds its memory: ar1 walks its chains in calls of at most this many
+# windows, and a horizon whose longest ar1 chain, or whose moving-average
+# (ma_windows x starts) table, is larger is rejected before allocating.
+_WINDOW_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,10 @@ def _ar1(trace: ThroughputTrace, starts: np.ndarray, dt: float, lam: float) -> n
     share one chain of windows, and the recursion runs along all chains at once.
     """
     n = np.maximum(1, np.floor((starts + 1e-9) / dt)).astype(np.intp)
+    if n.max() > _WINDOW_CELLS:
+        raise ConfigurationError(
+            f"ar1 at horizon {dt:g} s needs a chain of {n.max():,} windows, more than {_WINDOW_CELLS:,}"
+        )
     phase = starts - n * dt
     order = np.argsort(phase, kind="stable")
     split = np.diff(phase[order]) > 1e-12 * trace.duration
@@ -134,7 +140,7 @@ def _ar1(trace: ThroughputTrace, starts: np.ndarray, dt: float, lam: float) -> n
     lag = np.arange(length.max())[:, None]
 
     pred = np.empty(len(starts))
-    per_call = max(1, _AR1_CELLS // len(lag))
+    per_call = _WINDOW_CELLS // len(lag)
     for c0 in range(0, len(heads), per_call):
         c1 = c0 + per_call
         inside = lag < length[c0:c1]
@@ -169,6 +175,10 @@ def _predictions(
         raise ConfigurationError(f"insufficient history for {method}")
     if method == "ar1":
         return _ar1(trace, starts, dt, ar1_lambda) if starts.size else np.zeros(0)
+    if method == "moving_average" and lags * starts.size > _WINDOW_CELLS:
+        raise ConfigurationError(
+            f"moving_average at horizon {dt:g} s needs {lags:,} x {starts.size:,} windows, more than {_WINDOW_CELLS:,}"
+        )
     trailing = starts - np.arange(1, lags + 1)[:, None] * dt
     return np.mean(window_bits(trace, trailing, dt), axis=0)
 

@@ -152,7 +152,9 @@ def snake_trajectory(speed_kmh: float, span: float, amplitude: float, period: fl
     t = np.arange(n) * dt
     x = v * t
     k = 2.0 * math.pi / period
-    if not math.isfinite(amplitude * (k * v) * (k * v)):
+    # Finite exactly when both (k v)^2, which ** raises OverflowError on, and
+    # amplitude (k v)^2 are; a zero amplitude must not hide the first.
+    if not math.isfinite((k * v) * (k * v) * max(abs(amplitude), 1.0)):
         raise ConfigurationError(
             f"snake amplitude {amplitude:g} m over period {period:g} m at {speed_kmh:g} km/h "
             "gives a non-finite lateral acceleration"

@@ -198,10 +198,10 @@ MIDPOINT_NU = (500.0 / 3.6) * 2e9 / 299792458.0
 def _midpoint_two_ray(cdd_s, t, f):
     # LoS-only SFN seen from the midpoint between two TRPs: equal amplitudes,
     # opposite Doppler shifts from the approaching and receding sites, and
-    # the CDD as the second TRP's added delay. One slot, two TRPs, one tap
-    # each; returns H (symbols, subcarriers).
+    # the CDD as the second TRP's base delay. One slot, two TRPs, one tap
+    # each at offset 0; returns H (symbols, subcarriers).
     h = batched_freq_response(
-        np.ones((1, 2, 1), dtype=complex), np.array([[[0.0], [cdd_s]]]),
+        np.ones((1, 2, 1), dtype=complex), np.array([[0.0, cdd_s]]), np.zeros(1),
         np.array([[[MIDPOINT_NU], [-MIDPOINT_NU]]]), np.asarray(t, dtype=float)[None, :], f,
     )
     return h[0]

@@ -26,7 +26,7 @@ def _link(site_position, position, velocity, profile, carrier_hz, gain=1.0):
         np.array([site_position], dtype=float), np.array([position], dtype=float),
         np.array([velocity], dtype=float), profile, carrier_hz, np.array([[gain]]),
     )
-    return taps.delays[0, 0], taps.dopplers[0, 0], taps.amps[0, 0]
+    return taps.los_delays[0, 0] + profile.delay_ns * 1e-9, taps.dopplers[0, 0], taps.amps[0, 0]
 
 
 def _los_profile():
@@ -125,9 +125,10 @@ def _trps(*values):
 
 
 def _response(t, f, dopplers, delays, gains=(1.0, 1.0)):
-    """H (symbols, subcarriers) of one slot whose TRPs carry one tap each."""
+    """H (symbols, subcarriers) of one slot whose TRPs carry one tap each, at
+    offset 0 from the TRP's base delay."""
     h = batched_freq_response(
-        _trps(*gains).astype(complex), _trps(*delays), _trps(*dopplers),
+        _trps(*gains).astype(complex), _trps(*delays)[:, :, 0], np.zeros(1), _trps(*dopplers),
         np.asarray(t, dtype=float)[None, :], f,
     )
     return h[0]
@@ -201,6 +202,31 @@ def test_response_linear_in_gains():
     base = _response(t, f, [500.0, -500.0], [0.0, 0.0])
     scaled = _response(t, f, [500.0, -500.0], [0.0, 0.0], gains=(3.0, 3.0))
     assert np.max(np.abs(np.abs(scaled) ** 2 - 9.0 * np.abs(base) ** 2)) < 1e-9
+
+
+def test_response_matches_the_direct_double_sum():
+    # Several taps per TRP and several TRPs: the factored kernel against
+    # H_s(t, f) = sum_trp sum_tap g exp(j 2 pi nu t) exp(-j 2 pi f (tau + d)).
+    rng = np.random.default_rng(7)
+    slots, trps, taps, symbols = 3, 4, 4, 5
+    gains = rng.normal(size=(slots, trps, taps)) + 1j * rng.normal(size=(slots, trps, taps))
+    delays = rng.uniform(0.0, 2e-6, (slots, trps))
+    tap_delays = np.array([0.0, 30e-9, 70e-9, 150e-9])
+    dopplers = rng.uniform(-926.0, 926.0, (slots, trps, taps))
+    t = rng.uniform(0.0, 5e-4, (slots, symbols))
+    f = np.arange(0, 600, 12) * 30e3
+    h = batched_freq_response(gains, delays, tap_delays, dopplers, t, f)
+    want = np.zeros((slots, symbols, len(f)), dtype=complex)
+    for s in range(slots):
+        for y in range(symbols):
+            for c, fc in enumerate(f):
+                for k in range(trps):
+                    for d in range(taps):
+                        want[s, y, c] += (
+                            gains[s, k, d] * np.exp(2j * math.pi * dopplers[s, k, d] * t[s, y])
+                            * np.exp(-2j * math.pi * fc * (delays[s, k] + tap_delays[d]))
+                        )
+    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_macro_pathgain_slope_and_determinism():

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -177,14 +179,78 @@ def test_cli_run_and_plot(tiny_runs, tmp_path):
         assert replot.read_bytes() == (out / spec.svg).read_bytes(), study
 
 
-def test_tiny_runs_match_golden(tiny_runs):
+def _assert_match_golden(outs):
     # tests/golden holds these CSVs as committed; keys and integers must match
     # exactly, floats within a relative 1e-9 (see tests/golden/compare.py).
-    for study, out in tiny_runs.items():
+    for study, out in outs.items():
         name = runner.STUDY_SPECS[study].csv
         report = compare_csv(str(GOLDEN / name), str(out / name))
         assert report.exact_parts_match, report.lines()
         assert all(d.max_rel <= 1e-9 for d in report.floats.values()), report.lines()
+
+
+def test_tiny_runs_match_golden(tiny_runs):
+    _assert_match_golden(tiny_runs)
+
+
+def _cli_runs_in_subprocess(runs, prelude="", env=None):
+    """``nrtransport run CFG --output-dir OUT`` for each (CFG, OUT) pair, in one
+    fresh interpreter that first executes ``prelude``. Returns the process; the
+    last line of its stdout is the JSON list of exit codes."""
+    script = prelude + (
+        "import json, sys\nfrom nrtransport.cli import main\n"
+        "codes = [main(['run', c, '--output-dir', o]) for c, o in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+        "print(json.dumps(codes))\n"
+    )
+    src = str(Path(runner.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *(str(a) for run in runs for a in run)],
+        env={**os.environ, **(env or {}), "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_tiny_runs_match_golden_under_a_second_simd_dispatch(tmp_path):
+    # The golden tolerance must hold whichever SIMD kernels numpy dispatches:
+    # rerun the tiny configs with the AVX-512 targets switched off.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    off = [f for f in __cpu_dispatch__ if __cpu_features__.get(f) and (f.startswith("AVX512") or f == "X86_V4")]
+    if not off:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this machine")
+    outs, runs = {}, []
+    for study, text in TINY_CONFIGS.items():
+        cfg = tmp_path / f"{study}.cfg"
+        cfg.write_text(text)
+        outs[study] = tmp_path / study
+        runs.append((cfg, outs[study]))
+    proc = _cli_runs_in_subprocess(runs, env={"NPY_DISABLE_CPU_FEATURES": " ".join(off)})
+    assert proc.stdout.splitlines()[-1:] == ["[0, 0, 0, 0]"], proc.stderr
+    _assert_match_golden(outs)
+
+
+def test_cli_rejects_predictor_tables_before_allocating(tmp_path):
+    # On this 250 s trace, ar1 at a 1 us horizon needs one chain of 2.5e8
+    # windows and a 10^6-window moving average a (10^6 x 3,000) table:
+    # gigabytes each. Under a 2 GB address-space limit both must exit 1 with a
+    # configuration error, not die of MemoryError or exhaust the machine.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("epoch_s,delivered_bits\n" + "0.05,1000\n" * 5000)
+    runs = []
+    for name, text in [("ar1", "method = ar1\nhorizons_s = 1e-6\n"),
+                       ("ma", "method = moving_average\nma_windows = 1000000\nhorizons_s = 0.0001\n")]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"[qos]\ntrace_csv = {trace}\n{text}")
+        runs.append((cfg, tmp_path / name))
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    proc = _cli_runs_in_subprocess(runs, prelude=limit, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.stdout.splitlines()[-1:] == ["[1, 1]"], proc.stderr
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 2 and all(e.startswith("configuration error:") for e in errors), errors
+    assert "ar1 at horizon 1e-06 s needs a chain of 249,950,001 windows" in errors[0]
+    assert "moving_average at horizon 0.0001 s needs 1,000,000 x " in errors[1]
 
 
 def test_compare_reports_svg_byte_identity(tiny_runs, tmp_path, capsys):
@@ -361,18 +427,37 @@ def test_cli_rejects_site_coordinates_that_overflow(tmp_path, capsys, text):
      "line 3: key 'snake_amplitude_m' must be >= -1000000000.0, got '-1e200'"),
     ("[positioning]\nsnake_period_m = 1e-300\n", "line 2: key 'snake_period_m' must be >= 1.0, got '1e-300'"),
     ("[positioning]\nspeed_kmh = 1e300\ndt_s = 1e-300\nspan_m = 400\n", "gives a non-finite lateral acceleration"),
-], ids=["amplitude_1e200", "amplitude_-1e200", "period_1e-300", "speed_1e300"])
+    ("[positioning]\nsnake_amplitude_m = 0\nspeed_kmh = 1e300\nspan_m = 400\n",
+     "gives a non-finite lateral acceleration"),
+    ("[positioning]\nsnake_amplitude_m = 1e-300\nspeed_kmh = 1e300\nspan_m = 400\n",
+     "gives a non-finite lateral acceleration"),
+    ("[hst]\nspeed_kmh = 1e160\nspan_m = 20\n", "gives a non-finite lateral acceleration"),
+], ids=["amplitude_1e200", "amplitude_-1e200", "period_1e-300", "speed_1e300", "amplitude_0_speed_1e300",
+        "amplitude_1e-300_speed_1e300", "hst_speed_1e160"])
 def test_cli_rejects_trajectories_that_overflow(tmp_path, capsys, text, message):
     # The lateral offset is a coordinate that ranges square, and the IMU's
     # lateral acceleration is amplitude * (2 pi v / period)^2: past the bounds
-    # they overflow to inf, or raise OverflowError, instead of failing.
+    # they overflow to inf, or raise OverflowError, instead of failing. The
+    # straight rail trajectory is the zero-amplitude case.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert message in err
-    assert not (tmp_path / "out" / "positioning.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value,bound", [("4000", "<= 300.0"), ("-4000", ">= -300.0")])
+def test_cli_rejects_anchor_snr_that_overflows(tmp_path, capsys, value, bound):
+    # The noise power is the link gain over 10^(anchor / 10): past the bound
+    # the power raises OverflowError, or underflows to 0 and divides by zero.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[hst]\nanchor_snr_db = {value}\nspan_m = 20\n")
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: line 2: key 'anchor_snr_db' must be {bound}, got '{value}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [

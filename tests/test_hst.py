@@ -183,6 +183,13 @@ def test_scheme_validation_and_sample_period_check():
         run_hst_sweep(deployment, bad, Scheme.SFN, numerology, Mcs(), 1)
 
 
+@pytest.mark.parametrize("anchor", [4000.0, -4000.0, math.nan])
+def test_link_params_reject_an_anchor_snr_outside_its_bound(anchor):
+    with pytest.raises(ConfigurationError, match="anchor SNR"):
+        HstLinkParams(anchor_snr_db=anchor)
+    HstLinkParams(anchor_snr_db=math.copysign(300.0, anchor))
+
+
 def test_near_trp_anchor_reaches_peak():
     # At the anchor position (x = 0, 16 dB SFN-combined SNR) every scheme
     # delivers at or near the peak rate.
