@@ -122,27 +122,25 @@ def transport_block_size(numerology: Numerology, mcs: Mcs, overhead_symbols: int
     return int(math.floor(bits + 1e-9))
 
 
-def _esm_db(sinr_rows: np.ndarray, beta: float) -> np.ndarray:
-    """Exponential effective-SNR mapping of each row of REs, in dB."""
-    means = np.mean(np.exp(-sinr_rows / beta), axis=-1)
+def effective_snr(sinr_linear, beta: float = 1.0):
+    """Exponential effective-SNR mapping (dB) of each row of resource elements
+    along the last axis: a float for 1-D input, one value per row otherwise."""
+    g = np.asarray(sinr_linear, dtype=float)
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ConfigurationError("empty SINR set")
+    rows = g.reshape(-1, g.shape[-1])
+    means = np.mean(np.exp(-rows / beta), axis=-1)
     snrs = [-beta * math.log(m) if m and abs(m - 1.0) >= 1e-3 else None for m in means.tolist()]
     if None in snrs:
         for i in [i for i, snr in enumerate(snrs) if snr is None]:
-            row = sinr_rows[i]
+            row = rows[i]
             if means[i] == 0.0:  # every exp(-g/beta) underflowed: shift by the row's g_min
                 g_min = float(np.min(row))
                 snrs[i] = g_min - beta * math.log(float(np.mean(np.exp(-(row - g_min) / beta))))
             else:  # the mean is so near 1 that log(mean) would lose a tiny SNR
                 snrs[i] = -beta * math.log1p(float(np.mean(np.expm1(-row / beta))))
-    return np.array([10.0 * math.log10(max(snr, 1e-300)) for snr in snrs])
-
-
-def effective_snr(sinr_linear, beta: float = 1.0) -> float:
-    """Exponential effective-SNR mapping over resource elements, in dB."""
-    g = np.asarray(sinr_linear, dtype=float).ravel()
-    if g.size == 0:
-        raise ConfigurationError("empty SINR set")
-    return float(_esm_db(g[None, :], beta)[0])
+    eff = np.array([10.0 * math.log10(max(snr, 1e-300)) for snr in snrs]).reshape(g.shape[:-1])
+    return float(eff) if g.ndim == 1 else eff
 
 
 def bler_threshold_db(mcs: Mcs) -> float:
@@ -288,8 +286,8 @@ def run_hst_sweep(
     def decode(sinr_rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lowest code-block ESM (dB) of each row of per-RE SINR (rows x data symbols
         x subcarriers), and whether all its code blocks decode against ``draws``."""
-        rows = len(sinr_rows)
-        eff = np.column_stack([_esm_db(sinr_rows[:, sl, :].reshape(rows, -1), params.esm_beta) for sl in cb_slices])
+        eff = np.column_stack([effective_snr(sinr_rows[:, sl].reshape(len(sinr_rows), -1), params.esm_beta)
+                               for sl in cb_slices])
         return np.min(eff, axis=1), np.all(draws >= bler(eff, mcs, params.bler_threshold_db), axis=1)
 
     def slot_stream():
@@ -345,7 +343,9 @@ def bin_by_position(results: list[SlotResult], bin_m: float, slot_duration: floa
     bits = np.array([r.delivered_bits for r in results], dtype=float)
     slots = np.array([r.harq_attempts_used for r in results], dtype=float)
     snrs = np.array([r.effective_snr_db for r in results])
-    idx = np.floor(xs / bin_m).astype(int)
+    idx = np.floor(xs / bin_m)
+    if not np.all(np.abs(idx) < 2.0**53):  # beyond it a float bin index is no longer exact
+        raise ConfigurationError(f"bin size {bin_m:g} m is too small for positions up to {np.max(np.abs(xs)):g} m")
     rows = []
     for b in np.unique(idx):
         sel = idx == b

@@ -61,28 +61,35 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class SiteMeasurement:
-    site_id: int  # row of the site in the deployment's positions
-    range_m: float
-    aoa_az: float  # azimuth toward the site, seen from the vehicle
-    aoa_el: float
-    snr_db: float
-
-
-@dataclass(frozen=True)
 class MeasurementFrame:
+    """One epoch's measurement table and IMU reading.
+
+    Row k of ``obs`` is the (range m, azimuth rad, elevation rad) toward site
+    ``site_ids[k]`` (a row of the deployment's positions), seen from the
+    vehicle, at the frame's one ``snr_db``. Rows are stably sorted by
+    measured range, so row 0 is the nearest site. No rows, non-finite values
+    and non-positive ranges raise ``ConfigurationError``.
+    """
+
     t: float
-    per_site: tuple[SiteMeasurement, ...]
+    site_ids: np.ndarray  # (n,) int
+    obs: np.ndarray  # (n, 3) float: range, az, el
+    snr_db: float
     imu_accel: np.ndarray  # 2-vector, road plane
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.per_site, key=lambda m: (-m.snr_db, m.range_m)))
-        object.__setattr__(self, "per_site", ordered)
-        for m in self.per_site:
-            if not (math.isfinite(m.range_m) and math.isfinite(m.aoa_az) and math.isfinite(m.aoa_el)):
+        rows = self.obs.tolist()
+        if not rows:
+            raise ConfigurationError("frame has no site measurements")
+        for r, az, el in rows:
+            if not (math.isfinite(r) and math.isfinite(az) and math.isfinite(el)):
                 raise ConfigurationError("measured range and angles must be finite")
-            if m.range_m <= 0:
+            if r <= 0:
                 raise ConfigurationError("measured range must be positive")
+        order = sorted(range(len(rows)), key=lambda k: rows[k][0])
+        if order != list(range(len(rows))):
+            object.__setattr__(self, "site_ids", self.site_ids[order])
+            object.__setattr__(self, "obs", self.obs[order])
 
 
 def simulate_measurements(
@@ -100,7 +107,8 @@ def simulate_measurements(
     The true ranges and arrival angles of every epoch come from one
     :func:`channel.los_geometry` call; the noise is one block of normal
     draws, frame by frame in the order range, az, el per site (each only when
-    its sigma is non-zero), then the two IMU axes.
+    its sigma is non-zero), then the two IMU axes. Each frame's ``site_ids``,
+    ``obs`` and ``imu_accel`` are row views of those blocks.
     """
     if n_fused_bs < 1:
         raise ConfigurationError("n_fused_bs must be at least 1")
@@ -124,12 +132,8 @@ def simulate_measurements(
     drawn = scales != 0.0
     obs[:, drawn] += rng.normal(0.0, scales[drawn], size=(len(idx), int(np.count_nonzero(drawn))))
 
-    frames = []
-    for i, (t, row) in enumerate(zip(trajectory.t[idx].tolist(), obs.tolist())):
-        per_site = tuple(SiteMeasurement(k, *row[3 * j:3 * j + 3], snr_db=snr_db)
-                         for j, k in enumerate(nearest[i].tolist()))
-        frames.append(MeasurementFrame(t=t, per_site=per_site, imu_accel=obs[i, -2:]))
-    return frames
+    return [MeasurementFrame(t, ids, rows, snr_db, accel) for t, ids, rows, accel
+            in zip(trajectory.t[idx].tolist(), nearest, obs[:, :-2].reshape(truth.shape), obs[:, -2:])]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,8 @@ def ekf_fuse(
     initial: StateEstimate,
     params: EkfParams,
 ) -> list[StateEstimate]:
-    """Fuse IMU acceleration (control input) with stacked per-site residuals.
+    """Fuse IMU acceleration (control input) with the stacked residuals of
+    each frame's measurement table, ``frame.obs.ravel()`` against the model.
 
     The initial covariance must be a symmetric positive-definite 4x4 matrix
     (``ConfigurationError``); every epoch's covariance is checked again
@@ -220,33 +225,27 @@ def ekf_fuse(
             q = (sig_a**2) * (g @ g.T)
             p = f @ p @ f.T + q
 
-        # Stack residuals from all reported sites.
-        n = len(frame.per_site)
-        if n:
-            z = np.empty(3 * n)
-            pred = np.empty(3 * n)
-            jac = np.zeros((3 * n, 4))
-            r_diag = np.empty(3 * n)
-            sig_r = max(params.noise.range_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_M)
-            sig_ang = max(params.noise.angle_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_RAD)
-            for k, m in enumerate(frame.per_site):
-                h, j = _measurement_model(x[:2], sites[m.site_id])
-                sl = slice(3 * k, 3 * k + 3)
-                z[sl] = (m.range_m, m.aoa_az, m.aoa_el)
-                pred[sl] = h
-                jac[sl, :2] = j
-                r_diag[sl] = (sig_r**2, sig_ang**2, sig_ang**2)
-            innov = z - pred
-            innov[1::3] = _wrap(innov[1::3])
-            innov[2::3] = _wrap(innov[2::3])
-            s = jac @ p @ jac.T + np.diag(r_diag)
-            try:
-                gain = p @ jac.T @ np.linalg.inv(s)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("innovation covariance is singular", epoch=epoch) from exc
-            x = x + gain @ innov
-            ikh = np.eye(4) - gain @ jac
-            p = ikh @ p @ ikh.T + gain @ np.diag(r_diag) @ gain.T
+        # Stack the residuals of every row of the frame's table.
+        n = len(frame.site_ids)
+        pred = []
+        jac = np.zeros((3 * n, 4))
+        for k, site_id in enumerate(frame.site_ids.tolist()):
+            h, jac[3 * k:3 * k + 3, :2] = _measurement_model(x[:2], sites[site_id])
+            pred.extend(h)
+        sig_r = max(params.noise.range_sigma(frame.snr_db), SIGMA_FLOOR_M)
+        sig_ang = max(params.noise.angle_sigma(frame.snr_db), SIGMA_FLOOR_RAD)
+        r_mat = np.diag([sig_r**2, sig_ang**2, sig_ang**2] * n)
+        innov = frame.obs.ravel() - pred
+        innov[1::3] = _wrap(innov[1::3])
+        innov[2::3] = _wrap(innov[2::3])
+        s = jac @ p @ jac.T + r_mat
+        try:
+            gain = p @ jac.T @ np.linalg.inv(s)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("innovation covariance is singular", epoch=epoch) from exc
+        x = x + gain @ innov
+        ikh = np.eye(4) - gain @ jac
+        p = ikh @ p @ ikh.T + gain @ r_mat @ gain.T
 
         p = 0.5 * (p + p.T) + PROCESS_JITTER * np.eye(4)
         if np.any(np.linalg.eigvalsh(p) <= 0):
@@ -261,8 +260,8 @@ def initial_state_from_frame(
     *,
     speed_along_road: float = 0.0,
 ) -> StateEstimate:
-    """Seed the filter from the first frame's single-site geometric solve."""
-    x, y = _single_site_position(frame.per_site[0], params)
+    """Seed the filter from the first frame's nearest-site (row 0) geometric solve."""
+    x, y = _single_site_position(params.site_xyz[frame.site_ids[0]], *frame.obs[0].tolist())
     mean = np.array([x, y, speed_along_road, 0.0])
     cov = np.diag([INITIAL_POS_SIGMA_M**2] * 2 + [INITIAL_VEL_SIGMA_MPS**2] * 2)
     return StateEstimate(t=frame.t, mean=mean, covariance=cov)
@@ -272,41 +271,34 @@ def initial_state_from_frame(
 # Radio-only geometric solve
 
 
-def _single_site_position(m: SiteMeasurement, params: EkfParams) -> tuple[float, float]:
-    sx, sy, _ = params.site_xyz[m.site_id]
+def _single_site_position(site, range_m, az, el) -> tuple[float, float]:
     # Vehicle sits at site - range * u, with u the unit vector from the
     # vehicle toward the site (the measured arrival direction, reversed).
-    cos_el = math.cos(m.aoa_el)
-    return (
-        sx - m.range_m * (math.cos(m.aoa_az) * cos_el),
-        sy - m.range_m * (math.sin(m.aoa_az) * cos_el),
-    )
+    cos_el = math.cos(el)
+    return site[0] - range_m * (math.cos(az) * cos_el), site[1] - range_m * (math.sin(az) * cos_el)
 
 
 def nr_only_position(frame: MeasurementFrame, params: EkfParams) -> np.ndarray:
     """Per-epoch geometric position (x, y) from radio measurements alone.
 
     One site: range/angle intersection. Several: weighted Gauss-Newton over
-    the stacked (range, az, el) residuals of every site, initialized from the
-    best-SNR site's intersection. Each iteration sums the 2x2 normal
-    equations (J^T W^2 J) step = J^T W^2 res in floats and solves them in
-    closed form (no ``lstsq``), with W the inverse noise std of each
+    the stacked (range, az, el) rows of the frame's table, initialized from
+    the nearest site's (row 0's) intersection. Each iteration sums the 2x2
+    normal equations (J^T W^2 J) step = J^T W^2 res in floats and solves them
+    in closed form (no ``lstsq``), with W the inverse noise std of each
     observable. Raises ``EstimationError`` when the determinant is zero
     ("singular"), a step is not finite or longer than 1e6 m ("diverged"), or
     no step is shorter than ``GN_STEP_TOL`` within ``GN_MAX_ITER`` iterations
     ("did not converge").
     """
-    if not frame.per_site:
-        raise ConfigurationError("frame has no site measurements")
-    x, y = _single_site_position(frame.per_site[0], params)
-    if len(frame.per_site) == 1:
+    sites = params.site_xyz
+    meas = [(sites[k], *row) for k, row in zip(frame.site_ids.tolist(), frame.obs.tolist())]
+    x, y = _single_site_position(*meas[0])
+    if len(meas) == 1:
         return np.array([x, y])
 
-    w_r = 1.0 / max(params.noise.range_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_M)
-    w_ang = 1.0 / max(params.noise.angle_sigma(frame.per_site[0].snr_db), SIGMA_FLOOR_RAD)
-    sites = params.site_xyz
-    meas = [(sites[m.site_id], float(m.range_m), float(m.aoa_az), float(m.aoa_el))
-            for m in frame.per_site]
+    w_r = 1.0 / max(params.noise.range_sigma(frame.snr_db), SIGMA_FLOOR_M)
+    w_ang = 1.0 / max(params.noise.angle_sigma(frame.snr_db), SIGMA_FLOOR_RAD)
 
     for _ in range(GN_MAX_ITER):
         n00 = n01 = n11 = g0 = g1 = 0.0

@@ -263,6 +263,11 @@ def run_scheduler(config: RunConfig) -> dict[str, str]:
 # QoS study
 
 
+# Longest built-in trace in epochs (repeats x one pass), checked before the rail
+# sweep; 20 repeats of the default 302 epochs, or of the finest 30,241, fit.
+MAX_TRACE_EPOCHS = 1 << 20
+
+
 def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qos.ThroughputTrace:
     """Delivered-bits trace of the SFN scheme on the default rail downlink
     study, tiled for length.
@@ -281,11 +286,13 @@ def default_hst_trace(seed: int, epoch_s: float = 0.05, repeats: int = 20) -> qo
             f"trace epoch {epoch_s:g} s is longer than the "
             f"{len(trajectory) * numerology.slot_duration:g} s rail pass"
         )
+    n_epochs = len(trajectory) // per_epoch
+    if n_epochs * repeats > MAX_TRACE_EPOCHS:
+        raise ConfigurationError(f"{repeats:,} trace repeats of {n_epochs:,} epochs exceed {MAX_TRACE_EPOCHS:,} epochs")
     results = hst.run_hst_sweep(deployment, trajectory, hst.Scheme.SFN, numerology, hst.Mcs(), seed, params)
     bits_per_slot = np.zeros(len(trajectory))
     for r in results:
         bits_per_slot[r.slot_index + r.harq_attempts_used - 1] += r.delivered_bits
-    n_epochs = len(bits_per_slot) // per_epoch
     epochs = bits_per_slot[: n_epochs * per_epoch].reshape(n_epochs, per_epoch).sum(axis=1)
     return qos.ThroughputTrace(
         epoch_s=epoch_s,

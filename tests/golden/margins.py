@@ -1,6 +1,6 @@
 """Acceptance margins across seeds.
 
-    python tests/golden/margins.py --criteria 5 --seeds 1-20
+    python tests/golden/margins.py --criteria 1,5 --seeds 1-20
 
 Tier-1 checks each stochastic acceptance criterion at one seed. This script
 recomputes a criterion's statistics at other seeds with the function the
@@ -9,7 +9,8 @@ margin: how far the statistic lies inside the bar, negative when the part
 fails. A summary gives each part's smallest margin and its seed. The exit
 code is 0 when every part passes at every seed, and 1 otherwise.
 
-Criteria: 5 (scheduler orderings, about 20 s per seed on two cores).
+Criteria: 1 (positioning accuracy, about 1 s per seed) and 5 (scheduler
+orderings, about 20 s per seed on two cores).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def _seeds(text: str) -> list[int]:
 
 
 def margin(value: float, comparison: str, bar: float) -> float:
-    return value - bar if comparison == ">" else bar - value
+    return value - bar if comparison.startswith(">") else bar - value
 
 
 def main(argv=None) -> int:
@@ -37,9 +38,15 @@ def main(argv=None) -> int:
     parser.add_argument("--criteria", default="5", help="comma-separated criterion numbers")
     parser.add_argument("--seeds", default="1-20", help="seeds, e.g. 1-20 or 1,3,7")
     args = parser.parse_args(argv)
-    from test_acceptance import CRITERION_5_BARS, criterion_5_statistics, meets_bar
+    from test_acceptance import (
+        CRITERION_1_BARS,
+        CRITERION_5_BARS,
+        criterion_1_statistics,
+        criterion_5_statistics,
+        meets_bar,
+    )
 
-    criteria = {5: (criterion_5_statistics, CRITERION_5_BARS)}
+    criteria = {1: (criterion_1_statistics, CRITERION_1_BARS), 5: (criterion_5_statistics, CRITERION_5_BARS)}
     wanted = [int(c) for c in args.criteria.split(",")]
     unknown = [c for c in wanted if c not in criteria]
     if unknown:

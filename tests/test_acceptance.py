@@ -67,14 +67,27 @@ def _positioning_scenario():
     return deployment, trajectory
 
 
-def test_criterion_1_positioning_accuracy():
-    t0 = time.time()
+# Criterion 1's parts: statistic name -> (comparison, bar). The statistics
+# are computed by criterion_1_statistics, which tests/golden/margins.py also
+# calls to print the margins at other seeds.
+CRITERION_1_BARS = {
+    "q90_5": ("<=", 0.2),  # 90th-percentile fused error at 5 dB, m
+    "q90_15": ("<=", 0.1),  # likewise at 15 dB
+    # Least P(fused error <= e) - P(radio-only error <= e) over both SNRs and
+    # 200 levels e from 0 to the largest radio-only error: the fused CDF
+    # dominates the radio-only one when it is not negative.
+    "dominance": (">=", -1e-12),
+}
+
+
+def criterion_1_statistics(seed: int) -> dict[str, float]:
+    """Criterion 1's statistics (``CRITERION_1_BARS``) at one seed."""
     deployment, trajectory = _positioning_scenario()
     params = EkfParams(deployment=deployment)
     results = {}
     for snr in (5.0, 15.0):
         frames = simulate_measurements(
-            deployment, trajectory, snr, 2, seed=1, decimation=10
+            deployment, trajectory, snr, 2, seed=seed, decimation=10
         )
         initial = initial_state_from_frame(
             frames[0], params, speed_along_road=130 * KMH
@@ -83,23 +96,27 @@ def test_criterion_1_positioning_accuracy():
         t = np.array([f.t for f in frames])
         nr_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
         results[snr] = (fused, empirical_cdf(nr_errs[~np.isnan(nr_errs)]))
-
-    elapsed = time.time() - t0
-    q90_5 = results[5.0][0].quantile(0.9)
-    q90_15 = results[15.0][0].quantile(0.9)
-    # Stochastic dominance: at every error level the fused CDF sits at or
-    # above the radio-only CDF.
-    dominated = all(
-        all(
-            fused.prob_at(e) >= nr.prob_at(e) - 1e-12
+    return {
+        "q90_5": results[5.0][0].quantile(0.9),
+        "q90_15": results[15.0][0].quantile(0.9),
+        "dominance": min(
+            fused.prob_at(e) - nr.prob_at(e)
+            for fused, nr in results.values()
             for e in np.linspace(0.0, nr.errors[-1], 200)
-        )
-        for fused, nr in results.values()
-    )
+        ),
+    }
+
+
+def test_criterion_1_positioning_accuracy():
+    t0 = time.time()
+    stats = criterion_1_statistics(1)
+    ok = {part: meets_bar(stats[part], *bar) for part, bar in CRITERION_1_BARS.items()}
+    elapsed = time.time() - t0
     _report(
         "criterion 1 (positioning accuracy)",
-        q90_5 <= 0.2 and q90_15 <= 0.1 and dominated and elapsed <= 120.0,
-        f"q90@5dB={q90_5:.3f}m q90@15dB={q90_15:.3f}m dominated={dominated} {elapsed:.0f}s",
+        all(ok.values()) and elapsed <= 120.0,
+        f"q90@5dB={stats['q90_5']:.3f}m q90@15dB={stats['q90_15']:.3f}m "
+        f"dominated={ok['dominance']} (gap {stats['dominance']:.3g}) {elapsed:.0f}s",
     )
 
 
@@ -124,11 +141,7 @@ def test_criterion_2_ekf_matches_batch_least_squares():
     gap = 0.0
     for frame, est in zip(frames, estimates):
         def resid(xy, frame=frame):
-            out = []
-            for m in frame.per_site:
-                h, _ = _measurement_model(xy, sites[m.site_id])
-                out.extend([m.range_m - h[0], m.aoa_az - h[1], m.aoa_el - h[2]])
-            return np.asarray(out)
+            return (frame.obs - [_measurement_model(xy, sites[k])[0] for k in frame.site_ids]).ravel()
 
         sol = least_squares(resid, guess, method="lm")
         guess = sol.x
@@ -294,7 +307,7 @@ def criterion_5_statistics(seed: int) -> dict[str, float]:
 
 
 def meets_bar(value: float, comparison: str, bar: float) -> bool:
-    return {"<": value < bar, "<=": value <= bar, ">": value > bar}[comparison]
+    return {"<": value < bar, "<=": value <= bar, ">": value > bar, ">=": value >= bar}[comparison]
 
 
 def test_criterion_5_scheduler_orderings():

@@ -1,6 +1,7 @@
 """Config parsing, CLI behavior, and run manifests."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -231,6 +232,36 @@ def test_tiny_runs_match_golden_under_a_second_simd_dispatch(tmp_path):
     _assert_match_golden(outs)
 
 
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py``, imported once as ``perfbench_<name>``."""
+    if f"perfbench_{name}" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[f"perfbench_{name}"]
+
+
+# The benchmark workload that times each study.
+BENCH_WORKLOAD = {"positioning": "highway_fusion", "hst": "rail_schemes",
+                  "scheduler": "drop_sweep", "qos": "qos_trace_ar1"}
+
+
+@pytest.mark.parametrize("study", list(TINY_CONFIGS))
+def test_tiny_runs_reach_every_probe_the_benchmark_needs(tmp_path, study):
+    # The benchmark probes module attributes from outside the program. A study
+    # that stops calling one through its module reads 0 there; catch that here
+    # rather than only in the benchmark's own smoke test.
+    tracing = _perfbench_module("tracing")
+    exercised = _perfbench_module("test_smoke").EXERCISED[BENCH_WORKLOAD[study]]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIGS[study])
+    with tracing.installed(tracing.Tracer(), tracing.probes()) as tracer:
+        assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    layer = tracing.layer_values(tracer)
+    assert [name for name in exercised if not layer[name][0] > 0] == []
+
+
 def test_cli_rejects_predictor_tables_before_allocating(tmp_path):
     # On this 250 s trace, ar1 at a 1 us horizon needs one chain of 2.5e8
     # windows and a 10^6-window moving average a (10^6 x 3,000) table:
@@ -305,7 +336,8 @@ def test_every_study_svg_is_well_formed(tiny_runs):
     "[hst]\nscheme = DPS\nspan_m = 10\nmax_harq_retx = -1\n",
     "[hst]\nscheme = DPS\nspan_m = 10\ncdd_us = -1\n",
     "[scheduler]\ndensities_mbps_km2 = 150\nduration_s = 1\nfile_size_mb = 0\n",
-], ids=["span_m", "esm_beta", "max_harq_retx", "cdd_us", "file_size_mb"])
+    "[hst]\nscheme = DPS\nspan_m = 10\nbin_m = 1e-300\n",
+], ids=["span_m", "esm_beta", "max_harq_retx", "cdd_us", "file_size_mb", "bin_m_below_float_resolution"])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -334,8 +366,10 @@ def test_cli_rejects_zero_bin_size(tmp_path, capsys):
     ("[qos]\nmethod = ar1\nar1_lambda = 1.5\n", "line 3: key 'ar1_lambda' must be <= 1.0, got '1.5'"),
     ("[qos]\nmethod = moving_average\nma_windows = 0\n", "line 3: key 'ma_windows' must be > 0, got '0'"),
     ("[qos]\ntrace_epoch_s = 1000\n", "trace epoch 1000 s is longer than the 15.1205 s rail pass"),
+    ("[qos]\ntrace_repeats = 100000000\ntrace_epoch_s = 0.0005\n",
+     "100,000,000 trace repeats of 30,241 epochs exceed 1,048,576 epochs"),
 ], ids=["off_grid_epoch", "negative_horizon", "zero_ar1_lambda", "ar1_lambda_above_one",
-        "zero_ma_windows", "epoch_longer_than_trace"])
+        "zero_ma_windows", "epoch_longer_than_trace", "trace_longer_than_bound"])
 def test_cli_rejects_qos_values_before_the_trace_sweep(tmp_path, capsys, monkeypatch, text, message):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the rail sweep ran before the config was checked")

@@ -63,6 +63,18 @@ def test_effective_snr_of_a_tiny_sinr_is_not_the_floor():
     assert abs(effective_snr([1e-16] * 10, beta=5.0) - (-160.0)) < 1e-9
 
 
+def test_effective_snr_maps_each_row_along_the_last_axis():
+    # The sweep decodes (rows x REs) at once; each row must get exactly what
+    # the 1-D call gives, including the underflow and tiny-SINR forms.
+    rows = np.vstack([np.random.default_rng(3).exponential(5.0, 40), np.full(40, 1e5), np.full(40, 1e-16)])
+    eff = effective_snr(rows, beta=5.0)
+    assert eff.shape == (3,)
+    assert eff.tolist() == [effective_snr(row, beta=5.0) for row in rows]
+    for empty in ([], np.zeros((2, 0))):
+        with pytest.raises(ConfigurationError, match="empty SINR set"):
+            effective_snr(empty)
+
+
 def test_bler_limits_and_threshold():
     mcs = Mcs()
     th = bler_threshold_db(mcs)

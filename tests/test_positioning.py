@@ -26,7 +26,7 @@ from nrtransport import (
 from nrtransport.channel import azimuth, elevation, los_geometry
 from nrtransport.config import parse_config
 from nrtransport.errors import ConfigurationError, EstimationError
-from nrtransport.positioning import MeasurementFrame, SiteMeasurement, StateEstimate
+from nrtransport.positioning import MeasurementFrame, StateEstimate
 from nrtransport.rng import substream
 from nrtransport.scenario import UE_HEIGHT_M
 
@@ -62,8 +62,7 @@ def test_nearest_sites_selected():
     frames = simulate_measurements(deployment, trajectory, float("inf"), 2, seed=1)
     # Find the frame closest to x = 100 m: sites 0 (x=0) and 1 (x=200) are nearest.
     i = int(np.argmin(np.abs([trajectory.position[int(round(f.t / 0.01))][0] - 100.0 for f in frames])))
-    ids = sorted(m.site_id for m in frames[i].per_site)
-    assert ids == [0, 1]
+    assert sorted(frames[i].site_ids.tolist()) == [0, 1]
 
 
 def test_noise_free_measurements_match_geometry():
@@ -74,11 +73,11 @@ def test_noise_free_measurements_match_geometry():
     )
     for frame in frames[:5]:
         idx = int(round(frame.t / 0.01))
-        for m in frame.per_site:
-            r, az, el = _truth(deployment.positions[m.site_id], trajectory.position[idx])
-            assert abs(m.range_m - r) < 1e-9
-            assert abs(m.aoa_az - az) < 1e-12
-            assert abs(m.aoa_el - el) < 1e-12
+        for site_id, (range_m, az_m, el_m) in zip(frame.site_ids, frame.obs):
+            r, az, el = _truth(deployment.positions[site_id], trajectory.position[idx])
+            assert abs(range_m - r) < 1e-9
+            assert abs(az_m - az) < 1e-12
+            assert abs(el_m - el) < 1e-12
         assert np.allclose(frame.imu_accel, trajectory.acceleration[idx, :2])
 
 
@@ -113,11 +112,8 @@ def _batch_nls(frames, deployment, params, x0):
     guess = np.asarray(x0, dtype=float)
     for frame in frames:
         def resid(xy, frame=frame):
-            out = []
-            for m in frame.per_site:
-                h, _ = _measurement_model(xy, deployment.positions[m.site_id])
-                out.extend([m.range_m - h[0], m.aoa_az - h[1], m.aoa_el - h[2]])
-            return np.asarray(out)
+            h = [_measurement_model(xy, deployment.positions[k])[0] for k in frame.site_ids]
+            return (frame.obs - h).ravel()
 
         sol = least_squares(resid, guess, method="lm")
         guess = sol.x
@@ -148,11 +144,9 @@ def test_ekf_matches_batch_least_squares_on_noise_free_data():
 
 def test_covariance_contracts_on_repeated_static_updates():
     deployment, _ = _scenario()
-    per_site = [SiteMeasurement(sid, *_truth(deployment.positions[sid], [100.0, 0.0, 1.5]), 15.0) for sid in (0, 1)]
-    frames = [
-        MeasurementFrame(t=0.01 * i, per_site=tuple(per_site), imu_accel=np.zeros(2))
-        for i in range(50)
-    ]
+    ids = np.array([0, 1])
+    obs = np.array([_truth(deployment.positions[k], [100.0, 0.0, 1.5]) for k in ids])
+    frames = [MeasurementFrame(0.01 * i, ids, obs, 15.0, np.zeros(2)) for i in range(50)]
     params = EkfParams(deployment=deployment, noise=NoiseModel(imu_accel_sigma=0.0))
     initial = StateEstimate(
         t=0.0, mean=np.array([99.0, 1.0, 0.0, 0.0]), covariance=np.eye(4)
@@ -207,14 +201,10 @@ def test_nr_only_median_matches_monte_carlo_oracle():
     rng = substream(11, "solve")
     errs = []
     for _ in range(2000):
-        m = SiteMeasurement(
-            0,
-            true_range + rng.normal(0, sigma_r),
-            true_az + rng.normal(0, sigma_a),
-            true_el + rng.normal(0, sigma_a),
-            15.0,
-        )
-        frame = MeasurementFrame(t=0.0, per_site=(m,), imu_accel=np.zeros(2))
+        obs = np.array([[true_range + rng.normal(0, sigma_r),
+                         true_az + rng.normal(0, sigma_a),
+                         true_el + rng.normal(0, sigma_a)]])
+        frame = MeasurementFrame(0.0, np.array([0]), obs, 15.0, np.zeros(2))
         errs.append(np.linalg.norm(nr_only_position(frame, params) - position[:2]))
     assert abs(np.median(errs) - oracle_median) / oracle_median < 0.2
 
@@ -223,10 +213,10 @@ def _weighted_nls(frame, deployment, params):
     """Independent oracle: the frame's weighted least-squares fix from scipy,
     with the solver's weights (1 / noise std of each observable), its angle
     wrap and its starting point, and the geometry written out in numpy."""
-    snr = frame.per_site[0].snr_db
+    snr = frame.snr_db
     w = np.array([1.0 / params.noise.range_sigma(snr)] + [1.0 / params.noise.angle_sigma(snr)] * 2)
-    pos = deployment.positions[[m.site_id for m in frame.per_site]]
-    z = np.array([[m.range_m, m.aoa_az, m.aoa_el] for m in frame.per_site])
+    pos = deployment.positions[frame.site_ids]
+    z = frame.obs
 
     def resid(xy):
         d = pos - np.array([xy[0], xy[1], UE_HEIGHT_M])
@@ -237,9 +227,9 @@ def _weighted_nls(frame, deployment, params):
         r[:, 1:] = (r[:, 1:] + np.pi) % (2 * np.pi) - np.pi
         return (r * w).ravel()
 
-    best = frame.per_site[0]
-    u = np.array([np.cos(best.aoa_az) * np.cos(best.aoa_el), np.sin(best.aoa_az) * np.cos(best.aoa_el)])
-    x0 = deployment.positions[best.site_id, :2] - best.range_m * u
+    range_m, az, el = z[0]
+    u = np.array([np.cos(az) * np.cos(el), np.sin(az) * np.cos(el)])
+    x0 = pos[0, :2] - range_m * u
     return least_squares(resid, x0, jac="3-point", method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
 
 
@@ -257,19 +247,34 @@ def test_nr_only_matches_weighted_least_squares_oracle(n_sites):
 
 
 def _two_site_frame(deployment):
-    per_site = []
-    for sid in (0, 1):
-        r, az, el = _truth(deployment.positions[sid], [90.0, 5.0, 1.5])
-        per_site.append(SiteMeasurement(sid, r + 0.1 * sid, az, el, 15.0))
-    return MeasurementFrame(t=0.0, per_site=tuple(per_site), imu_accel=np.zeros(2))
+    ids = np.array([0, 1])
+    obs = np.array([_truth(deployment.positions[k], [90.0, 5.0, 1.5]) for k in ids])
+    obs[:, 0] += 0.1 * ids
+    return MeasurementFrame(0.0, ids, obs, 15.0, np.zeros(2))
+
+
+def test_frame_rows_are_sorted_by_measured_range():
+    deployment, _ = _scenario()
+    near_first = _two_site_frame(deployment)
+    assert near_first.obs[0, 0] < near_first.obs[1, 0]
+    swapped = MeasurementFrame(0.0, near_first.site_ids[::-1], near_first.obs[::-1], 15.0, np.zeros(2))
+    assert swapped.site_ids.tolist() == [0, 1]
+    assert np.array_equal(swapped.obs, near_first.obs)
+    negative = near_first.obs.copy()
+    negative[1, 0] = -1.0
+    with pytest.raises(ConfigurationError, match="positive"):
+        dataclasses.replace(near_first, obs=negative)
+    with pytest.raises(ConfigurationError, match="no site measurements"):
+        MeasurementFrame(0.0, np.zeros(0, dtype=int), np.zeros((0, 3)), 15.0, np.zeros(2))
 
 
 def test_diverging_solve_raises_and_is_a_nan_row():
     deployment, _ = _scenario()
     params = EkfParams(deployment=deployment)
     good = _two_site_frame(deployment)
-    far = dataclasses.replace(good.per_site[1], range_m=1e300)
-    bad = dataclasses.replace(good, per_site=(good.per_site[0], far))
+    far = good.obs.copy()
+    far[1, 0] = 1e300
+    bad = dataclasses.replace(good, obs=far)
     with pytest.raises(EstimationError, match="diverged"):
         nr_only_position(bad, params)
     xy = nr_only_positions([good, bad, good], params)
@@ -308,9 +313,10 @@ def test_solve_is_deterministic():
 def test_non_finite_measurement_rejected(field, value):
     deployment, _ = _scenario()
     good = _two_site_frame(deployment)
-    broken = dataclasses.replace(good.per_site[1], **{field: value})
+    broken = good.obs.copy()
+    broken[1, ["range_m", "aoa_az", "aoa_el"].index(field)] = value
     with pytest.raises(ConfigurationError, match="finite"):
-        dataclasses.replace(good, per_site=(good.per_site[0], broken))
+        dataclasses.replace(good, obs=broken)
 
 
 def test_ekf_rejects_initial_covariance_not_positive_definite():
