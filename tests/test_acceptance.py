@@ -74,8 +74,10 @@ CRITERION_1_BARS = {
     "q90_5": ("<=", 0.2),  # 90th-percentile fused error at 5 dB, m
     "q90_15": ("<=", 0.1),  # likewise at 15 dB
     # Least P(fused error <= e) - P(radio-only error <= e) over both SNRs and
-    # 200 levels e from 0 to the largest radio-only error: the fused CDF
-    # dominates the radio-only one when it is not negative.
+    # 200 levels e from 0 to the largest radio-only error, less the levels
+    # where both CDFs are 0 or both are 1 (their gap is exactly 0, which would
+    # pin the statistic there): the fused CDF dominates the radio-only one
+    # when it is not negative.
     "dominance": (">=", -1e-12),
 }
 
@@ -96,14 +98,15 @@ def criterion_1_statistics(seed: int) -> dict[str, float]:
         t = np.array([f.t for f in frames])
         nr_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
         results[snr] = (fused, empirical_cdf(nr_errs[~np.isnan(nr_errs)]))
+    levels = [
+        (fused.prob_at(e), nr.prob_at(e))
+        for fused, nr in results.values()
+        for e in np.linspace(0.0, nr.errors[-1], 200)
+    ]
     return {
         "q90_5": results[5.0][0].quantile(0.9),
         "q90_15": results[15.0][0].quantile(0.9),
-        "dominance": min(
-            fused.prob_at(e) - nr.prob_at(e)
-            for fused, nr in results.values()
-            for e in np.linspace(0.0, nr.errors[-1], 200)
-        ),
+        "dominance": min(f - n for f, n in levels if (f, n) not in ((0.0, 0.0), (1.0, 1.0))),
     }
 
 
@@ -215,7 +218,7 @@ def _midpoint_two_ray(cdd_s, t, f):
     # each at offset 0; returns H (symbols, subcarriers).
     h = batched_freq_response(
         np.ones((1, 2, 1), dtype=complex), np.array([[0.0, cdd_s]]), np.zeros(1),
-        np.array([[[MIDPOINT_NU], [-MIDPOINT_NU]]]), np.asarray(t, dtype=float)[None, :], f,
+        np.array([[[MIDPOINT_NU], [-MIDPOINT_NU]]]), np.zeros(1), t, f,
     )
     return h[0]
 

@@ -128,8 +128,7 @@ def _response(t, f, dopplers, delays, gains=(1.0, 1.0)):
     """H (symbols, subcarriers) of one slot whose TRPs carry one tap each, at
     offset 0 from the TRP's base delay."""
     h = batched_freq_response(
-        _trps(*gains).astype(complex), _trps(*delays)[:, :, 0], np.zeros(1), _trps(*dopplers),
-        np.asarray(t, dtype=float)[None, :], f,
+        _trps(*gains).astype(complex), _trps(*delays)[:, :, 0], np.zeros(1), _trps(*dopplers), np.zeros(1), t, f,
     )
     return h[0]
 
@@ -204,21 +203,12 @@ def test_response_linear_in_gains():
     assert np.max(np.abs(np.abs(scaled) ** 2 - 9.0 * np.abs(base) ** 2)) < 1e-9
 
 
-def test_response_matches_the_direct_double_sum():
-    # Several taps per TRP and several TRPs: the factored kernel against
-    # H_s(t, f) = sum_trp sum_tap g exp(j 2 pi nu t) exp(-j 2 pi f (tau + d)).
-    rng = np.random.default_rng(7)
-    slots, trps, taps, symbols = 3, 4, 4, 5
-    gains = rng.normal(size=(slots, trps, taps)) + 1j * rng.normal(size=(slots, trps, taps))
-    delays = rng.uniform(0.0, 2e-6, (slots, trps))
-    tap_delays = np.array([0.0, 30e-9, 70e-9, 150e-9])
-    dopplers = rng.uniform(-926.0, 926.0, (slots, trps, taps))
-    t = rng.uniform(0.0, 5e-4, (slots, symbols))
-    f = np.arange(0, 600, 12) * 30e3
-    h = batched_freq_response(gains, delays, tap_delays, dopplers, t, f)
-    want = np.zeros((slots, symbols, len(f)), dtype=complex)
+def _direct_double_sum(gains, delays, tap_delays, dopplers, t, f):
+    """H_s(t, f) = sum_trp sum_tap g exp(j 2 pi nu t) exp(-j 2 pi f (tau + d)), term by term."""
+    slots, trps, taps = gains.shape
+    want = np.zeros((slots, t.shape[1], len(f)), dtype=complex)
     for s in range(slots):
-        for y in range(symbols):
+        for y in range(t.shape[1]):
             for c, fc in enumerate(f):
                 for k in range(trps):
                     for d in range(taps):
@@ -226,7 +216,55 @@ def test_response_matches_the_direct_double_sum():
                             gains[s, k, d] * np.exp(2j * math.pi * dopplers[s, k, d] * t[s, y])
                             * np.exp(-2j * math.pi * fc * (delays[s, k] + tap_delays[d]))
                         )
-    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
+    return want
+
+
+def _random_channel(t_max):
+    """Several taps per TRP and several TRPs, slots ending up to 0.5 ms
+    before ``t_max``, on uniform symbol and subcarrier grids."""
+    rng = np.random.default_rng(7)
+    slots, trps, taps, symbols = 3, 4, 4, 13
+    gains = rng.normal(size=(slots, trps, taps)) + 1j * rng.normal(size=(slots, trps, taps))
+    delays = rng.uniform(0.0, 2e-6, (slots, trps))
+    tap_delays = np.array([0.0, 30e-9, 70e-9, 150e-9])
+    dopplers = rng.uniform(-926.0, 926.0, (slots, trps, taps))
+    slot_times = t_max - rng.uniform(0.0, 5e-4, slots)
+    offsets = (np.arange(symbols) + 0.5) * 5e-4 / 14
+    f = np.arange(0, 600, 12) * 30e3
+    return gains, delays, tap_delays, dopplers, slot_times, offsets, f
+
+
+def _kernel_error(t_max):
+    """Largest |H - direct sum| of ``_random_channel(t_max)`` relative to max |H|."""
+    gains, delays, tap_delays, dopplers, slot_times, offsets, f = _random_channel(t_max)
+    h = batched_freq_response(gains, delays, tap_delays, dopplers, slot_times, offsets, f)
+    want = _direct_double_sum(gains, delays, tap_delays, dopplers, slot_times[:, None] + offsets, f)
+    return np.max(np.abs(h - want)) / np.max(np.abs(want))
+
+
+def test_response_matches_the_direct_double_sum():
+    assert _kernel_error(5e-4) <= 1e-12
+
+
+def test_response_matches_the_direct_double_sum_near_15_s():
+    # The end of the default rail pass. The direct sum's own phase arguments
+    # are rounded at about 1e-11 rad there, hence the wider bar.
+    assert _kernel_error(15.0) <= 1e-10
+
+
+def test_response_needs_uniform_grids():
+    # The recurrence steps from the first grid point, so it cannot represent
+    # any other grid.
+    def response(offsets, f):
+        ones = np.ones((1, 1, 1))
+        return batched_freq_response(ones.astype(complex), ones[0], np.zeros(1), ones, np.zeros(1), offsets, f)
+
+    offsets, f = np.arange(4) * 1e-5, np.arange(5) * 30e3
+    assert response(offsets, f).shape == (1, 4, 5)
+    with pytest.raises(ConfigurationError, match="symbol offsets must be a uniform grid"):
+        response(offsets**1.5, f)
+    with pytest.raises(ConfigurationError, match="subcarrier frequencies must be a uniform grid"):
+        response(offsets, f**1.5)
 
 
 def test_macro_pathgain_slope_and_determinism():

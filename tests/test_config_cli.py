@@ -21,6 +21,7 @@ from nrtransport import (
     empirical_cdf,
     error_cdf,
     horizontal_errors,
+    hst,
     initial_state_from_frame,
     load_config,
     nr_only_positions,
@@ -357,6 +358,21 @@ def test_cli_rejects_zero_bin_size(tmp_path, capsys):
         assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out" / "hst.csv").exists()
+
+
+def test_cli_rejects_a_too_small_bin_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # |x| / bin_m must stay below 2**53 over the whole trajectory; the default
+    # [hst] config must fail without spending a sweep first.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the rail sweep ran before the bin size was checked")
+
+    monkeypatch.setattr(hst, "run_hst_sweep", no_sweep)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[hst]\nbin_m = 1e-300\n")
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: bin size 1e-300 m is too small for positions up to 2100 m\n"
+    )
 
 
 @pytest.mark.parametrize("text,message", [

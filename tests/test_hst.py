@@ -112,6 +112,21 @@ def test_chunk_size_does_not_change_results(monkeypatch, overrides):
         assert any(r.harq_attempts_used == 3 and r.delivered_bits == 0 for r in results)
 
 
+def test_retransmissions_are_decoded_per_chunk(monkeypatch):
+    # Each chunk decodes its first attempts and then its retransmission
+    # candidates level by level: at most 1 + max_harq_retx BLER evaluations
+    # per chunk, however many transport blocks fail.
+    calls = []
+    monkeypatch.setattr(hst, "SLOT_CHUNK", 7)
+    monkeypatch.setattr(hst, "bler", lambda *args, **kwargs: calls.append(1) or bler(*args, **kwargs))
+    for scheme in Scheme:
+        calls.clear()
+        results, _ = _sweep(scheme, span=40.0, anchor_snr_db=6.0, max_harq_retx=2)
+        chunks = math.ceil(len(linear_trajectory(500.0, 40.0, Numerology().slot_duration)) / 7)
+        assert any(r.harq_attempts_used > 1 for r in results)
+        assert len(calls) <= chunks * (1 + 2), scheme
+
+
 def test_bin_size_must_be_positive():
     results, numerology = _sweep(Scheme.DPS, span=10.0)
     for bin_m in (0.0, -20.0, float("nan")):
