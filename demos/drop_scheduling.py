@@ -16,18 +16,18 @@ from nrtransport import (
     TrafficConfig,
     build_linear_deployment,
     density_sweep,
-    file_transfer_report,
+    median_file_time,
+    simulate_cell,
 )
 from nrtransport.rng import substream
 
 
 def main():
     deployment = build_linear_deployment(1732, 0, 35, 1732)
-    template = TrafficConfig(0.0, file_size_bits=50 * 8e6)
     densities = (10.0, 450.0, 1000.0, 2000.0, 3000.0)
     points = density_sweep(
         deployment, densities, (0.0, 0.5), reps=3, seed=7,
-        duration=200.0, traffic_template=template,
+        duration=200.0, traffic=TrafficConfig(0.0, file_size_bits=50 * 8e6),
     )
     by = {(p.density_mbps_km2, p.drop_fraction): p for p in points}
 
@@ -41,10 +41,10 @@ def main():
     traffic = TrafficConfig(450.0)
     for rho in (0.0, 0.5):
         times = [
-            file_transfer_report(
-                deployment, DropPolicy(rho), traffic,
+            median_file_time(simulate_cell(
+                deployment, traffic, DropPolicy(rho), 600.0,
                 int(substream(7, "ftr", rep).integers(2**62)),
-            )["dl_seconds"]
+            ))
             for rep in range(3)
         ]
         print(f"  rho = {rho}: {np.median(times):.1f} s")

@@ -9,18 +9,7 @@ Run with: python3 demos/highway_positioning.py
 
 import numpy as np
 
-from nrtransport import (
-    EkfParams,
-    build_linear_deployment,
-    ekf_fuse,
-    empirical_cdf,
-    error_cdf,
-    horizontal_errors,
-    initial_state_from_frame,
-    nr_only_positions,
-    simulate_measurements,
-    snake_trajectory,
-)
+from nrtransport import build_linear_deployment, empirical_cdf, point_fixes, snake_trajectory
 from nrtransport.scenario import KMH
 
 SPAN_M = 2000.0
@@ -30,21 +19,14 @@ DT_S = 0.01
 def main():
     deployment = build_linear_deployment(200, 40, 10, SPAN_M)
     trajectory = snake_trajectory(130, SPAN_M, 3.5, 500, DT_S)
-    params = EkfParams(deployment=deployment)
 
     print(f"{len(deployment.positions)} roadside sites, "
           f"{trajectory.position[-1][0] - trajectory.position[0][0]:.0f} m of road")
     print(f"{'SNR':>6} {'fused p50':>10} {'fused p90':>10} {'radio p50':>10} {'radio p90':>10}")
     for snr_db in (5.0, 15.0):
-        frames = simulate_measurements(
-            deployment, trajectory, snr_db, 2, seed=1, decimation=10
-        )
-        initial = initial_state_from_frame(frames[0], params, speed_along_road=130 * KMH)
-        fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
-
-        t = np.array([frame.t for frame in frames])
-        radio_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
-        radio = empirical_cdf(radio_errs[~np.isnan(radio_errs)])  # NaN: failed solve
+        point = point_fixes(deployment, trajectory, snr_db, 2, 1, decimation=10, speed_along_road=130 * KMH)
+        fused = empirical_cdf(point.fused_err)
+        radio = empirical_cdf(point.nr_only_err[~np.isnan(point.nr_only_err)])  # NaN: failed solve
 
         print(f"{snr_db:>4.0f}dB "
               f"{fused.quantile(0.5):>9.3f}m {fused.quantile(0.9):>9.3f}m "

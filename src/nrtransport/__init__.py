@@ -33,14 +33,15 @@ from .positioning import (
     ErrorCdf,
     MeasurementFrame,
     NoiseModel,
+    PointFixes,
     StateEstimate,
     ekf_fuse,
     empirical_cdf,
-    error_cdf,
     horizontal_errors,
     initial_state_from_frame,
     nr_only_position,
     nr_only_positions,
+    point_fixes,
     simulate_measurements,
 )
 from .qos import (
@@ -66,7 +67,6 @@ from .scheduler import (
     TrafficConfig,
     UserRecord,
     density_sweep,
-    file_transfer_report,
     mean_user_throughput,
     median_file_time,
     simulate_cell,

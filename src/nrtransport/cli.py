@@ -17,7 +17,7 @@ import sys
 
 from . import runner
 from .config import load_config
-from .errors import ConfigurationError, EstimationError, GeometryError, NumericalError
+from .errors import ConfigurationError, EstimationError, NumericalError
 
 OUTDIR_ENV = "NRTRANSPORT_OUTDIR"
 
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, EstimationError, GeometryError) as exc:
+    except (NumericalError, EstimationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

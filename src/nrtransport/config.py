@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 from .scenario import MAX_COORDINATE_M, MIN_SNAKE_PERIOD_M
 
-STUDIES = ("positioning", "hst", "scheduler", "qos")
-
 _REQUIRED = object()
 
 
@@ -39,7 +37,7 @@ _COMMON = {
 
 SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "positioning": {
-        "snr_db": FieldSpec("float_list", (5.0, 15.0)),
+        "snr_db": FieldSpec("float_list", (5.0, 15.0), at_least=-300.0, at_most=300.0),  # keeps 10^(snr/10) finite
         "nb_fused_bs": FieldSpec("int", 2, above=0),
         "isd_m": FieldSpec("float", 200.0, above=0.0),
         "lateral_offset_m": FieldSpec("float", 40.0),
@@ -58,7 +56,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "speed_kmh": FieldSpec("float", 500.0, above=0.0),
         "span_m": FieldSpec("float", 2100.0, above=0.0),
         "anchor_snr_db": FieldSpec("float", 16.0, at_least=-300.0, at_most=300.0),  # keeps the noise power finite
-        "cdd_us": FieldSpec("float", 1.0, at_least=0.0),
+        "cdd_us": FieldSpec("float", 1.0, at_least=0.0, at_most=1000.0),  # HstLinkParams.cdd_delay_s <= 1 ms
         "esm_beta": FieldSpec("float", 5.0, above=0.0),
         "max_harq_retx": FieldSpec("int", 3, above=-1),
         "bin_m": FieldSpec("float", 20.0, above=0.0),
@@ -81,6 +79,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "trace_epoch_s": FieldSpec("float", 0.05, above=0.0),
     },
 }
+STUDIES = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)

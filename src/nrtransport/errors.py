@@ -5,8 +5,9 @@ class ConfigurationError(ValueError):
     """Invalid scenario, run, or model configuration."""
 
 
-class GeometryError(ValueError):
-    """Degenerate geometry (e.g. coincident transmitter and receiver)."""
+class GeometryError(ConfigurationError):
+    """Degenerate geometry (e.g. coincident transmitter and receiver); a
+    config that places the vehicle on a site is a configuration error."""
 
 
 class NumericalError(RuntimeError):

@@ -53,6 +53,7 @@ CODEBLOCK_BITS = 8448  # max code block size; sets TB segmentation
 SUBCARRIER_STEP = 12  # SINR sampled once per RB in the sweep
 BLER_MARGIN_DB = 2.0  # BLER threshold above the Shannon limit of the MCS
 BLER_SLOPE_DB = 0.5
+MAX_CDD_DELAY_S = 1e-3  # longest cyclic delay, two 30 kHz slots; the response kernel is tested up to it
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class HstLinkParams:
     esm_beta: float = 5.0
     bler_threshold_db: float | None = None  # from the MCS when None
     max_harq_retx: int = 3
-    cdd_delay_s: float = 1e-6  # applied to every second TRP
+    cdd_delay_s: float = 1e-6  # applied to every second TRP, at most MAX_CDD_DELAY_S
     overhead_symbols: int = 1
 
     def __post_init__(self):
@@ -180,8 +181,8 @@ class HstLinkParams:
             raise ConfigurationError(f"ESM beta must be positive, got {self.esm_beta}")
         if self.max_harq_retx < 0:
             raise ConfigurationError(f"max HARQ retransmissions must be >= 0, got {self.max_harq_retx}")
-        if not self.cdd_delay_s >= 0:
-            raise ConfigurationError(f"CDD delay must be >= 0, got {self.cdd_delay_s} s")
+        if not 0 <= self.cdd_delay_s <= MAX_CDD_DELAY_S:
+            raise ConfigurationError(f"CDD delay must lie in [0, {MAX_CDD_DELAY_S:g}] s, got {self.cdd_delay_s} s")
 
 
 def _link_gains_lin(deployment: Deployment, positions: np.ndarray) -> np.ndarray:

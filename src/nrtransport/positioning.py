@@ -4,6 +4,8 @@ Generates noisy downlink range/angle measurements plus inertial acceleration
 along a trajectory, fuses them with an extended Kalman filter (optionally from
 several base stations at once), solves per-epoch geometric positions for the
 radio-only baseline, and summarizes horizontal errors as empirical CDFs.
+:func:`point_fixes` runs that pipeline for one SNR point; the study, its
+acceptance criterion and the demo all call it.
 """
 
 from __future__ import annotations
@@ -388,9 +390,33 @@ def horizontal_errors(xy: np.ndarray, t: np.ndarray, trajectory: Trajectory) -> 
     return np.hypot(xy[:, 0] - truth[:, 0], xy[:, 1] - truth[:, 1])
 
 
-def error_cdf(estimates: list[StateEstimate], trajectory: Trajectory) -> ErrorCdf:
-    """Horizontal-error CDF of filter estimates against the trajectory."""
-    if not estimates:
-        raise ConfigurationError("no estimates")
-    xy = np.array([est.mean[:2] for est in estimates])
-    return empirical_cdf(horizontal_errors(xy, np.array([est.t for est in estimates]), trajectory))
+# ---------------------------------------------------------------------------
+# One SNR point of the study
+
+
+@dataclass(frozen=True)
+class PointFixes:
+    """Row i of each field is frame i: its time, the true, fused and
+    radio-only (x, y) (NaN where the solve failed), and both horizontal errors."""
+
+    t: np.ndarray
+    truth: np.ndarray
+    fused: np.ndarray
+    nr_only: np.ndarray
+    fused_err: np.ndarray
+    nr_only_err: np.ndarray
+
+
+def point_fixes(deployment: Deployment, trajectory: Trajectory, snr_db: float, n_fused_bs: int, seed: int,
+                *, decimation: int, speed_along_road: float) -> PointFixes:
+    """The study at one SNR: :func:`simulate_measurements`, :func:`ekf_fuse`
+    from frame 0's solve, :func:`nr_only_positions` and :func:`horizontal_errors`."""
+    frames = simulate_measurements(deployment, trajectory, snr_db, n_fused_bs, seed, decimation=decimation)
+    params = EkfParams(deployment=deployment)
+    initial = initial_state_from_frame(frames[0], params, speed_along_road=speed_along_road)
+    t = np.array([frame.t for frame in frames])
+    fused = np.array([est.mean[:2] for est in ekf_fuse(frames, initial, params)])
+    nr_only = nr_only_positions(frames, params)
+    truth = trajectory.position[trajectory.index_at(t), :2]
+    return PointFixes(t, truth, fused, nr_only, horizontal_errors(fused, t, trajectory),
+                      horizontal_errors(nr_only, t, trajectory))

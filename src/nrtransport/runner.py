@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -153,29 +153,18 @@ def _positioning_scenario(p: dict):
 def _positioning_one(task):
     """Rows for one SNR point: fused estimates plus the radio-only solve."""
     p, seed, snr = task
-    deployment, trajectory = _positioning_scenario(p)
-    frames = positioning.simulate_measurements(
-        deployment, trajectory, snr, p["nb_fused_bs"], seed, decimation=p["decimation"]
+    pt = positioning.point_fixes(
+        *_positioning_scenario(p), snr, p["nb_fused_bs"], seed,
+        decimation=p["decimation"], speed_along_road=p["speed_kmh"] * KMH,
     )
-    params = positioning.EkfParams(deployment=deployment)
-    initial = positioning.initial_state_from_frame(
-        frames[0], params, speed_along_road=p["speed_kmh"] * KMH
-    )
-    t = np.array([frame.t for frame in frames])
-    fused = np.array([est.mean[:2] for est in positioning.ekf_fuse(frames, initial, params)])
-    nr_only = positioning.nr_only_positions(frames, params)
-    truth = trajectory.position[trajectory.index_at(t)]
-    fused_err = positioning.horizontal_errors(fused, t, trajectory)
-    nr_err = positioning.horizontal_errors(nr_only, t, trajectory)
-
     rows = []
-    for i, frame in enumerate(frames):
-        tx, ty = float(truth[i, 0]), float(truth[i, 1])
-        rows.append((frame.t, tx, ty, float(fused[i, 0]), float(fused[i, 1]),
-                     float(fused_err[i]), "fused", p["nb_fused_bs"], snr))
-        if not math.isnan(nr_err[i]):  # a failed radio-only solve has no row
-            rows.append((frame.t, tx, ty, float(nr_only[i, 0]), float(nr_only[i, 1]),
-                         float(nr_err[i]), "nr_only", p["nb_fused_bs"], snr))
+    for t, (tx, ty), (fx, fy), fe, (nx, ny), ne in zip(
+        pt.t.tolist(), pt.truth.tolist(), pt.fused.tolist(), pt.fused_err.tolist(),
+        pt.nr_only.tolist(), pt.nr_only_err.tolist(),
+    ):
+        rows.append((t, tx, ty, fx, fy, fe, "fused", p["nb_fused_bs"], snr))
+        if not math.isnan(ne):  # a failed radio-only solve has no row
+            rows.append((t, tx, ty, nx, ny, ne, "nr_only", p["nb_fused_bs"], snr))
     return rows
 
 
@@ -237,14 +226,9 @@ def _scheduler_deployment(p: dict):
 def _scheduler_one(task):
     p, seed, reps, density, rho = task
     deployment = _scheduler_deployment(p)
-    traffic = scheduler.TrafficConfig(
-        density_mbps_km2=0.0,
-        file_size_bits=p["file_size_mb"] * 8e6,
-        vehicle_speed_kmh=p["speed_kmh"],
-    )
+    traffic = scheduler.TrafficConfig(0.0, p["file_size_mb"] * 8e6, p["speed_kmh"])
     (point,) = scheduler.density_sweep(
-        deployment, [density], [rho], reps, seed,
-        duration=p["duration_s"], traffic_template=traffic,
+        deployment, [density], [rho], reps, seed, duration=p["duration_s"], traffic=traffic
     )
     return [(point.density_mbps_km2, point.drop_fraction, point.mean_user_tput_mbps,
              point.coverage_fraction, point.median_file_time_s)]
@@ -342,18 +326,7 @@ class RunManifest:
     wall_time_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "study": self.study,
-                "seed": self.seed,
-                "config_sha256": self.config_sha256,
-                "version": self.version,
-                "outputs": self.outputs,
-                "wall_time_s": self.wall_time_s,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def plot_csv(csv_path: str, out_path: str | None = None) -> str:

@@ -9,14 +9,14 @@ TDM round-robin serves the eligible backlogged users.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import SHADOW_SIGMA_DB, macro_pathgain, pathloss_db
 from .errors import ConfigurationError
 from .rng import substream
-from .scenario import KMH, Deployment
+from .scenario import KMH, MAX_COORDINATE_M, Deployment
 
 # Upper bound on the expected Poisson file arrivals of one cell. Every arrival
 # gets a row in the per-user columns, drawn at once, and the slot loop is
@@ -158,6 +158,12 @@ def simulate_cell(
     n_slots = int(round(duration / params.slot_s))
     if n_slots < 1:
         raise ConfigurationError(f"duration {duration:g} s is shorter than one {params.slot_s:g} s slot")
+    speed = traffic.vehicle_speed_kmh * KMH
+    if not speed * duration <= MAX_COORDINATE_M:  # a wrapped position beyond it keeps no precision
+        raise ConfigurationError(
+            f"vehicles at {traffic.vehicle_speed_kmh:g} km/h over {duration:g} s travel more than "
+            f"{MAX_COORDINATE_M:g} m"
+        )
     site = deployment.positions[0]
     half_span = deployment.isd / 2.0
 
@@ -175,7 +181,6 @@ def simulate_cell(
     direction = np.where(rng.random(n_arrivals) < 0.5, 1.0, -1.0)
     shadow = rng.normal(0.0, SHADOW_SIGMA_DB, n_arrivals)
     entry_x = -direction * half_span  # enter at the cell edge
-    speed = traffic.vehicle_speed_kmh * KMH
 
     if initial_users:
         seeded = np.array([[u[0], u[1], u[2]] for u in initial_users], dtype=float)
@@ -324,26 +329,24 @@ def density_sweep(
     seed: int,
     *,
     duration: float = 200.0,
-    traffic_template: TrafficConfig | None = None,
+    traffic: TrafficConfig | None = None,
 ) -> list[SweepPoint]:
     """Mean user throughput etc. per (density, drop fraction), averaged over
-    replications with matched seeds across drop fractions."""
-    if len(list(densities)) == 0 or len(list(drop_fractions)) == 0:
+    replications with matched seeds across drop fractions. Each density
+    replaces that of ``traffic`` (default ``TrafficConfig(0.0)``)."""
+    densities, drop_fractions = list(densities), list(drop_fractions)
+    if not densities or not drop_fractions:
         raise ConfigurationError("empty sweep grids")
-    template = traffic_template or TrafficConfig(density_mbps_km2=0.0)
+    traffic = traffic or TrafficConfig(density_mbps_km2=0.0)
     out = []
     for density in densities:
-        traffic = TrafficConfig(
-            density_mbps_km2=density,
-            file_size_bits=template.file_size_bits,
-            vehicle_speed_kmh=template.vehicle_speed_kmh,
-        )
+        point_traffic = replace(traffic, density_mbps_km2=density)
         for rho in drop_fractions:
             policy = DropPolicy(drop_fraction=rho)
             tputs, covs, ftimes = [], [], []
             for rep in range(reps):
                 stats = simulate_cell(
-                    deployment, traffic, policy, duration,
+                    deployment, point_traffic, policy, duration,
                     seed=int(substream(seed, "sched", rep).integers(2**62)),
                 )
                 tputs.append(mean_user_throughput(stats))
@@ -360,23 +363,3 @@ def density_sweep(
                 )
             )
     return out
-
-
-def file_transfer_report(
-    deployment: Deployment,
-    policy: DropPolicy,
-    traffic: TrafficConfig,
-    seed: int,
-    *,
-    duration: float = 600.0,
-) -> dict:
-    """Median DL file completion time and coverage fraction for one policy.
-
-    The default duration is long enough for queue growth under overload to
-    show up in the censored median.
-    """
-    stats = simulate_cell(deployment, traffic, policy, duration, seed)
-    return {
-        "dl_seconds": median_file_time(stats),
-        "coverage_fraction": stats.eligible_fraction_time_avg,
-    }

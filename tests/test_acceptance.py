@@ -30,14 +30,11 @@ from nrtransport import (
     density_sweep,
     ekf_fuse,
     empirical_cdf,
-    error_cdf,
-    file_transfer_report,
     horizon_errors,
-    horizontal_errors,
-    initial_state_from_frame,
     linear_trajectory,
-    nr_only_positions,
+    median_file_time,
     parse_config,
+    point_fixes,
     prediction_error,
     run,
     run_hst_sweep,
@@ -85,19 +82,11 @@ CRITERION_1_BARS = {
 def criterion_1_statistics(seed: int) -> dict[str, float]:
     """Criterion 1's statistics (``CRITERION_1_BARS``) at one seed."""
     deployment, trajectory = _positioning_scenario()
-    params = EkfParams(deployment=deployment)
     results = {}
     for snr in (5.0, 15.0):
-        frames = simulate_measurements(
-            deployment, trajectory, snr, 2, seed=seed, decimation=10
-        )
-        initial = initial_state_from_frame(
-            frames[0], params, speed_along_road=130 * KMH
-        )
-        fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
-        t = np.array([f.t for f in frames])
-        nr_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
-        results[snr] = (fused, empirical_cdf(nr_errs[~np.isnan(nr_errs)]))
+        point = point_fixes(deployment, trajectory, snr, 2, seed, decimation=10, speed_along_road=130 * KMH)
+        nr_errs = point.nr_only_err
+        results[snr] = (empirical_cdf(point.fused_err), empirical_cdf(nr_errs[~np.isnan(nr_errs)]))
     levels = [
         (fused.prob_at(e), nr.prob_at(e))
         for fused, nr in results.values()
@@ -276,10 +265,9 @@ def criterion_5_statistics(seed: int) -> dict[str, float]:
     """Criterion 5's statistics (``CRITERION_5_BARS``) at one seed, plus the
     two median file times of part e (``file_time_0.5``, ``file_time_0``)."""
     deployment = build_linear_deployment(1732, 0, 35, 1732)
-    template = TrafficConfig(0.0, file_size_bits=50 * 8e6)
     points = density_sweep(
         deployment, (10.0, 1000.0, 2000.0, 3000.0), (0.0, 0.5), 5, seed,
-        duration=200.0, traffic_template=template,
+        duration=200.0, traffic=TrafficConfig(0.0, file_size_bits=50 * 8e6),
     )
     by = {(p.density_mbps_km2, p.drop_fraction): p for p in points}
     loaded = (1000.0, 2000.0, 3000.0)
@@ -291,10 +279,10 @@ def criterion_5_statistics(seed: int) -> dict[str, float]:
     medians = {}
     for rho in (0.0, 0.5):
         reps = [
-            file_transfer_report(
-                deployment, DropPolicy(rho), traffic,
+            median_file_time(simulate_cell(
+                deployment, traffic, DropPolicy(rho), 600.0,
                 int(substream(seed, "ftr", rep).integers(2**62)),
-            )["dl_seconds"]
+            ))
             for rep in range(5)
         ]
         medians[rho] = float(np.median(reps))

@@ -18,6 +18,7 @@ from nrtransport.channel import (
     tdl_taps,
 )
 from nrtransport.errors import ConfigurationError, GeometryError
+from nrtransport.hst import MAX_CDD_DELAY_S
 
 
 def _link(site_position, position, velocity, profile, carrier_hz, gain=1.0):
@@ -234,9 +235,11 @@ def _random_channel(t_max):
     return gains, delays, tap_delays, dopplers, slot_times, offsets, f
 
 
-def _kernel_error(t_max):
-    """Largest |H - direct sum| of ``_random_channel(t_max)`` relative to max |H|."""
+def _kernel_error(t_max, cdd_s=0.0):
+    """Largest |H - direct sum| of ``_random_channel(t_max)``, with ``cdd_s``
+    added to the delay of every second TRP, relative to max |H|."""
     gains, delays, tap_delays, dopplers, slot_times, offsets, f = _random_channel(t_max)
+    delays[:, 1::2] += cdd_s
     h = batched_freq_response(gains, delays, tap_delays, dopplers, slot_times, offsets, f)
     want = _direct_double_sum(gains, delays, tap_delays, dopplers, slot_times[:, None] + offsets, f)
     return np.max(np.abs(h - want)) / np.max(np.abs(want))
@@ -250,6 +253,12 @@ def test_response_matches_the_direct_double_sum_near_15_s():
     # The end of the default rail pass. The direct sum's own phase arguments
     # are rounded at about 1e-11 rad there, hence the wider bar.
     assert _kernel_error(15.0) <= 1e-10
+
+
+def test_response_matches_the_direct_double_sum_at_the_longest_cdd():
+    # The longest cyclic delay a config may set. The direct sum's own delay
+    # phases reach 1e5 rad there and are rounded at about 1e-11 rad.
+    assert _kernel_error(5e-4, cdd_s=MAX_CDD_DELAY_S) <= 1e-10
 
 
 def test_response_needs_uniform_grids():

@@ -15,20 +15,13 @@ import pytest
 
 from nrtransport import (
     ConfigurationError,
-    EkfParams,
     build_linear_deployment,
-    ekf_fuse,
-    empirical_cdf,
-    error_cdf,
-    horizontal_errors,
     hst,
-    initial_state_from_frame,
     load_config,
-    nr_only_positions,
     parse_config,
+    point_fixes,
     run,
     runner,
-    simulate_measurements,
     snake_trajectory,
 )
 from nrtransport.cli import main as cli_main
@@ -300,30 +293,23 @@ def test_compare_reports_svg_byte_identity(tiny_runs, tmp_path, capsys):
 
 
 def test_positioning_errors_are_the_tested_error_path(tiny_runs):
-    # The err_m cells the study writes are, bit for bit, what error_cdf (fused)
-    # and horizontal_errors over nr_only_positions (radio-only) give.
+    # The err_m cells the study writes are, frame by frame and bit for bit,
+    # the fused and radio-only errors of point_fixes, which criterion 1 checks.
     cfg = parse_config(TINY_CONFIGS["positioning"])
     p = cfg.params
     deployment = build_linear_deployment(p["isd_m"], p["lateral_offset_m"], p["site_height_m"], p["span_m"])
     trajectory = snake_trajectory(
         p["speed_kmh"], p["span_m"], p["snake_amplitude_m"], p["snake_period_m"], p["dt_s"]
     )
-    params = EkfParams(deployment=deployment)
     with open(tiny_runs["positioning"] / "positioning.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     for snr in p["snr_db"]:
-        frames = simulate_measurements(
-            deployment, trajectory, snr, p["nb_fused_bs"], cfg.seed, decimation=p["decimation"]
-        )
-        initial = initial_state_from_frame(frames[0], params, speed_along_road=p["speed_kmh"] * KMH)
-        fused = error_cdf(ekf_fuse(frames, initial, params), trajectory)
-        t = np.array([f.t for f in frames])
-        nr_errs = horizontal_errors(nr_only_positions(frames, params), t, trajectory)
-        nr_only = empirical_cdf(nr_errs[~np.isnan(nr_errs)])
-        for method, cdf in (("fused", fused), ("nr_only", nr_only)):
-            written = np.sort([float(r["err_m"]) for r in rows
-                               if r["method"] == method and float(r["snr_db"]) == snr])
-            assert len(written) == len(frames) and np.array_equal(written, cdf.errors), method
+        point = point_fixes(deployment, trajectory, snr, p["nb_fused_bs"], cfg.seed,
+                            decimation=p["decimation"], speed_along_road=p["speed_kmh"] * KMH)
+        nr_errs = point.nr_only_err[~np.isnan(point.nr_only_err)]
+        for method, errs in (("fused", point.fused_err), ("nr_only", nr_errs)):
+            written = [float(r["err_m"]) for r in rows if r["method"] == method and float(r["snr_db"]) == snr]
+            assert len(written) == len(point.t) and np.array_equal(written, errs), method
 
 
 def test_every_study_svg_is_well_formed(tiny_runs):
@@ -436,6 +422,9 @@ BOUND_CASES = [
     ("scheduler", "drop_fractions", "0, -0.5", ">= 0.0"),
     ("scheduler", "drop_fractions", "0, 1.5", "<= 1.0"),
     ("positioning", "site_height_m", "-1", ">= 0.0"),
+    ("positioning", "snr_db", "5, 5000", "<= 300.0"),  # 10^(snr/10) overflows
+    ("positioning", "snr_db", "-5000", ">= -300.0"),  # 10^(snr/10) is 0
+    ("hst", "cdd_us", "1e308", "<= 1000.0"),  # every delay phase is NaN
 ]
 
 
@@ -507,6 +496,26 @@ def test_cli_rejects_anchor_snr_that_overflows(tmp_path, capsys, value, bound):
     assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"configuration error: line 2: key 'anchor_snr_db' must be {bound}, got '{value}'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_vehicle_on_a_site_is_a_configuration_error(tmp_path, capsys):
+    # The straight road passes through a site at the vehicle's height.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[positioning]\nsite_height_m = 1.5\nlateral_offset_m = 0\nsnake_amplitude_m = 0\nspan_m = 400\n")
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "configuration error: vehicle coincides with site\n"
+
+
+@pytest.mark.parametrize("speed", ["1e308", "1e20"])
+def test_cli_rejects_scheduler_speeds_past_the_coordinate_bound(tmp_path, capsys, speed):
+    # 1e308 km/h makes every position NaN; 1e20 km/h wraps positions that
+    # keep no precision into the cell and writes finite garbage.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[scheduler]\nspeed_kmh = {speed}\ndensities_mbps_km2 = 150\nduration_s = 1\n")
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: vehicles at {float(speed):g} km/h over 1 s travel more than 1e+09 m\n"
     assert not (tmp_path / "out").exists()
 
 

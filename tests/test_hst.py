@@ -217,6 +217,13 @@ def test_link_params_reject_an_anchor_snr_outside_its_bound(anchor):
     HstLinkParams(anchor_snr_db=math.copysign(300.0, anchor))
 
 
+@pytest.mark.parametrize("cdd", [-1e-6, 1.001e-3, 1e302, math.nan])
+def test_link_params_reject_a_cdd_delay_outside_its_bound(cdd):
+    with pytest.raises(ConfigurationError, match="CDD delay"):
+        HstLinkParams(cdd_delay_s=cdd)
+    HstLinkParams(cdd_delay_s=1e-3)
+
+
 def test_near_trp_anchor_reaches_peak():
     # At the anchor position (x = 0, 16 dB SFN-combined SNR) every scheme
     # delivers at or near the peak rate.

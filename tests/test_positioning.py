@@ -13,11 +13,10 @@ from nrtransport import (
     build_linear_deployment,
     ekf_fuse,
     empirical_cdf,
-    error_cdf,
     horizontal_errors,
-    initial_state_from_frame,
     nr_only_position,
     nr_only_positions,
+    point_fixes,
     positioning,
     runner,
     simulate_measurements,
@@ -338,14 +337,11 @@ def test_empirical_cdf_order_statistics():
     assert zero.errors[0] == 0.0 and zero.prob_at(0.0) == 1.0
 
 
-def test_error_cdf_permutation_invariant():
+def test_empirical_cdf_permutation_invariant():
     deployment, trajectory = _scenario()
-    frames = simulate_measurements(deployment, trajectory, 15.0, 2, seed=4, decimation=20)
-    params = EkfParams(deployment=deployment)
-    initial = initial_state_from_frame(frames[0], params, speed_along_road=130 / 3.6)
-    estimates = ekf_fuse(frames, initial, params)
-    cdf1 = error_cdf(estimates, trajectory)
-    cdf2 = error_cdf(list(reversed(estimates)), trajectory)
+    point = point_fixes(deployment, trajectory, 15.0, 2, 4, decimation=20, speed_along_road=130 / 3.6)
+    cdf1 = empirical_cdf(point.fused_err)
+    cdf2 = empirical_cdf(point.fused_err[::-1])
     assert np.array_equal(cdf1.errors, cdf2.errors)
 
 
@@ -387,11 +383,6 @@ def test_more_fused_sites_does_not_hurt():
     deployment, trajectory = _scenario(span=2000.0)
     q90 = {}
     for nb in (1, 2):
-        frames = simulate_measurements(
-            deployment, trajectory, 15.0, nb, seed=5, decimation=10
-        )
-        params = EkfParams(deployment=deployment)
-        initial = initial_state_from_frame(frames[0], params, speed_along_road=130 / 3.6)
-        cdf = error_cdf(ekf_fuse(frames, initial, params), trajectory)
-        q90[nb] = cdf.quantile(0.9)
+        point = point_fixes(deployment, trajectory, 15.0, nb, 5, decimation=10, speed_along_road=130 / 3.6)
+        q90[nb] = empirical_cdf(point.fused_err).quantile(0.9)
     assert q90[2] <= q90[1] * 1.25  # allow Monte-Carlo slack

@@ -207,6 +207,27 @@ def test_unbounded_arrivals_rejected_before_drawing(tmp_path, capsys):
     assert peak < 1_000_000
 
 
+def test_density_sweep_takes_any_iterable_grid():
+    # The grids are read once; a generator gives the points a tuple gives.
+    traffic = TrafficConfig(0.0, file_size_bits=4e7)
+    points = [
+        scheduler.density_sweep(_deployment(), densities, rhos, 1, 3, duration=2.0, traffic=traffic)
+        for densities, rhos in (((150.0, 300.0), (0.0, 0.5)), ((d for d in (150.0, 300.0)), iter((0.0, 0.5))))
+    ]
+    assert len(points[0]) == 4 and points[0] == points[1]
+    assert [p.density_mbps_km2 for p in points[0]] == [150.0, 150.0, 300.0, 300.0]
+
+
+def test_speed_past_the_coordinate_bound_rejected_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("arrivals drawn before the speed was checked")
+
+    monkeypatch.setattr(scheduler, "substream", no_draws)
+    for speed in (1e20, 1e308):
+        with pytest.raises(ConfigurationError, match="travel more than 1e\\+09 m"):
+            simulate_cell(_deployment(), TrafficConfig(150.0, vehicle_speed_kmh=speed), DropPolicy(0.0), 1.0, 1)
+
+
 def test_run_shorter_than_one_slot_exits_1(tmp_path, capsys):
     # 1 ns is below the 10 ms slot: the cell would run no slot and report
     # throughput 0 and coverage 1 for users it never saw.
