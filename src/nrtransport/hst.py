@@ -9,13 +9,14 @@ error curve, with Chase-combining HARQ modeled as linear SNR accumulation.
 The taps of every slot and TRP come from the one tapped-delay-line builder,
 ``channel.tdl_taps``; the sweep adds only the non-LoS phases, and each tap's
 delay is its TRP's LoS delay (plus the CDD) and an offset from one constant
-table. Per fixed chunk of slots, one batched frequency response
-(``channel.batched_freq_response``, phase recurrences on the uniform symbol
-and subcarrier grids) gives the per-RE SINR of every slot. One decode function
-maps rows of per-RE SINR to code-block ESM, BLER and pass/fail flags: a
-chunk's first attempts at once, then level by level the Chase-combined
-retransmissions of its failed first attempts, which may reach into the next
-chunk. The transport-block walk only looks the outcomes up.
+table, whose delay phases ``channel.response_grid`` tabulates once per sweep
+after checking that the symbol and subcarrier grids are uniform. Per chunk of
+``SLOT_CHUNK`` slots, one ``channel.batched_freq_response`` (phase recurrences
+on those grids) gives the per-RE SINR of every slot. One decode function maps
+rows of per-RE SINR to code-block ESM, BLER and pass/fail flags: a chunk's
+first attempts at once, then level by level the Chase-combined retransmissions
+of its failed first attempts, which may reach into the next chunk. The
+transport-block walk only looks the outcomes up.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .channel import (
     default_rail_profile,
     elevation,
     los_geometry,
+    response_grid,
     sector_gain_db,
     tdl_taps,
 )
@@ -40,11 +42,12 @@ from .errors import ConfigurationError
 from .rng import substream
 from .scenario import Deployment, Trajectory
 
-# Slots evaluated per batched chunk. At the default grid (13 data symbols x 50
-# sampled subcarriers, 10.4 kB per slot) each complex chunk array stays under
-# about 0.5 MB, and the SINR held for HARQ candidates spans at most the chunk
-# and the next one, so memory does not grow with the length of the sweep.
-SLOT_CHUNK = 32
+# Slots evaluated per batched chunk. Each slot of a chunk adds about 39 kB to the
+# sweep's traced peak at the default grid (four TRPs; time terms, delay table, H and
+# the SINR held for HARQ candidates, which spans at most this chunk and the next), so
+# memory does not grow with the sweep's length. 64 ran the SFN trace sweep about 7%
+# faster than 32; 96 and 128 added 1.7 and 3.1 MB (4-7%) to the rail study's peak RSS.
+SLOT_CHUNK = 64
 
 CARRIER_HZ = 2e9
 PATHLOSS_EXPONENT = 2.5
@@ -231,10 +234,9 @@ def run_hst_sweep(
     )
     n_slots, n_trp = ch.los_delays.shape
     nlos = ~PROFILE.los_flag.astype(bool)
-    if np.any(nlos):
-        for k in range(n_trp):
-            rng = substream(seed, "hst", scheme.value, "phase", k)
-            ch.phases[:, k, nlos] = rng.uniform(0.0, 2.0 * math.pi, (n_slots, int(np.sum(nlos))))
+    for k in range(n_trp):
+        rng = substream(seed, "hst", scheme.value, "phase", k)
+        ch.phases[:, k, nlos] = rng.uniform(0.0, 2.0 * math.pi, (n_slots, int(np.sum(nlos))))
     los = int(np.argmax(PROFILE.los_flag))
 
     # Noise power from the SNR anchor: SFN-combined power at x = 0.
@@ -246,8 +248,7 @@ def run_hst_sweep(
     cb_slices = _codeblock_slices(n_data_symbols, n_cb)
 
     sym_t_rel = (np.arange(n_data_symbols) + 0.5) * numerology.symbol_duration
-    freqs = numerology.subcarrier_freqs(SUBCARRIER_STEP)
-    tap_delays = PROFILE.delay_ns * 1e-9
+    grid = response_grid(PROFILE.delay_ns * 1e-9, sym_t_rel, numerology.subcarrier_freqs(SUBCARRIER_STEP))
     # The TRPs each slot transmits from: DPS serves from the strongest alone.
     trps = np.broadcast_to(np.arange(n_trp), gains_lin.shape)
     if scheme is Scheme.DPS:
@@ -267,8 +268,7 @@ def run_hst_sweep(
     # that adds to the noise. This is what separates plain SFN from the
     # Doppler-managed schemes.
     shared_rs = scheme is not Scheme.SFN_CDD
-    tt = sym_t_rel - np.mean(sym_t_rel)
-    basis = np.column_stack([np.ones(n_data_symbols), tt])
+    basis = np.column_stack([np.ones(n_data_symbols), sym_t_rel - np.mean(sym_t_rel)])
     resid_proj = np.eye(n_data_symbols) - basis @ np.linalg.pinv(basis)
 
     def chunk_sinr(lo: int, hi: int) -> np.ndarray:
@@ -280,12 +280,12 @@ def run_hst_sweep(
         if shared_rs:  # remove the power-weighted common offset; |H| does not change
             dopplers = dopplers - (np.sum(amps**2 * dopplers, (1, 2)) / np.sum(amps**2, (1, 2)))[:, None, None]
         gains = amps * np.exp(1j * ch.phases[idx])
-        h = batched_freq_response(gains, base_delays[idx], tap_delays, dopplers, trajectory.t[lo:hi], sym_t_rel, freqs)
+        h = batched_freq_response(gains, base_delays[idx], dopplers, trajectory.t[lo:hi], grid)
         power = h.real**2 + h.imag**2
         if not shared_rs:
             return power / noise
-        est = resid_proj @ h.view(float).reshape(len(h), n_data_symbols, -1)  # real product on (re, im) pairs
-        return power / (noise + est[:, :, 0::2] ** 2 + est[:, :, 1::2] ** 2)
+        h = resid_proj @ h.view(float).reshape(len(h), n_data_symbols, -1)  # residual on (re, im) pairs; frees H
+        return power / (noise + h[:, :, 0::2] ** 2 + h[:, :, 1::2] ** 2)
 
     def decode(sinr_rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lowest code-block ESM (dB) of each row of per-RE SINR (rows x data symbols
@@ -298,7 +298,7 @@ def run_hst_sweep(
         """(first-attempt ESM in dB, HARQ level) per slot, SLOT_CHUNK slots at a
         time. The level is the first attempt that decodes if the slot starts a
         transport block (j: Chase-combined with the next j slots), or -1."""
-        sinr = np.empty((0, n_data_symbols, len(freqs)))  # rows from slot lo on
+        sinr = np.empty((0, n_data_symbols, grid.subcarriers[2]))  # rows from slot lo on
         for lo in range(0, n_slots, SLOT_CHUNK):
             hi = min(lo + SLOT_CHUNK, n_slots)
             while lo + len(sinr) < min(hi + params.max_harq_retx, n_slots):  # reach the last candidates

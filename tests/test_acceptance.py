@@ -43,7 +43,7 @@ from nrtransport import (
     snake_trajectory,
     transport_block_size,
 )
-from nrtransport.channel import batched_freq_response, pathloss_db
+from nrtransport.channel import batched_freq_response, pathloss_db, response_grid
 from nrtransport.hst import HstLinkParams
 from nrtransport.positioning import StateEstimate, _measurement_model
 from nrtransport.rng import substream
@@ -206,8 +206,8 @@ def _midpoint_two_ray(cdd_s, t, f):
     # the CDD as the second TRP's base delay. One slot, two TRPs, one tap
     # each at offset 0; returns H (symbols, subcarriers).
     h = batched_freq_response(
-        np.ones((1, 2, 1), dtype=complex), np.array([[0.0, cdd_s]]), np.zeros(1),
-        np.array([[[MIDPOINT_NU], [-MIDPOINT_NU]]]), np.zeros(1), t, f,
+        np.ones((1, 2, 1), dtype=complex), np.array([[0.0, cdd_s]]),
+        np.array([[[MIDPOINT_NU], [-MIDPOINT_NU]]]), np.zeros(1), response_grid(np.zeros(1), t, f),
     )
     return h[0]
 

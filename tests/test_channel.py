@@ -15,6 +15,7 @@ from nrtransport.channel import (
     TapProfile,
     batched_freq_response,
     los_geometry,
+    response_grid,
     tdl_taps,
 )
 from nrtransport.errors import ConfigurationError, GeometryError
@@ -129,7 +130,8 @@ def _response(t, f, dopplers, delays, gains=(1.0, 1.0)):
     """H (symbols, subcarriers) of one slot whose TRPs carry one tap each, at
     offset 0 from the TRP's base delay."""
     h = batched_freq_response(
-        _trps(*gains).astype(complex), _trps(*delays)[:, :, 0], np.zeros(1), _trps(*dopplers), np.zeros(1), t, f,
+        _trps(*gains).astype(complex), _trps(*delays)[:, :, 0], _trps(*dopplers), np.zeros(1),
+        response_grid(np.zeros(1), t, f),
     )
     return h[0]
 
@@ -240,7 +242,7 @@ def _kernel_error(t_max, cdd_s=0.0):
     added to the delay of every second TRP, relative to max |H|."""
     gains, delays, tap_delays, dopplers, slot_times, offsets, f = _random_channel(t_max)
     delays[:, 1::2] += cdd_s
-    h = batched_freq_response(gains, delays, tap_delays, dopplers, slot_times, offsets, f)
+    h = batched_freq_response(gains, delays, dopplers, slot_times, response_grid(tap_delays, offsets, f))
     want = _direct_double_sum(gains, delays, tap_delays, dopplers, slot_times[:, None] + offsets, f)
     return np.max(np.abs(h - want)) / np.max(np.abs(want))
 
@@ -264,16 +266,14 @@ def test_response_matches_the_direct_double_sum_at_the_longest_cdd():
 def test_response_needs_uniform_grids():
     # The recurrence steps from the first grid point, so it cannot represent
     # any other grid.
-    def response(offsets, f):
-        ones = np.ones((1, 1, 1))
-        return batched_freq_response(ones.astype(complex), ones[0], np.zeros(1), ones, np.zeros(1), offsets, f)
-
     offsets, f = np.arange(4) * 1e-5, np.arange(5) * 30e3
-    assert response(offsets, f).shape == (1, 4, 5)
+    ones = np.ones((1, 1, 1))
+    h = batched_freq_response(ones.astype(complex), ones[0], ones, np.zeros(1), response_grid(np.zeros(1), offsets, f))
+    assert h.shape == (1, 4, 5)
     with pytest.raises(ConfigurationError, match="symbol offsets must be a uniform grid"):
-        response(offsets**1.5, f)
+        response_grid(np.zeros(1), offsets**1.5, f)
     with pytest.raises(ConfigurationError, match="subcarrier frequencies must be a uniform grid"):
-        response(offsets, f**1.5)
+        response_grid(np.zeros(1), offsets, f**1.5)
 
 
 def test_macro_pathgain_slope_and_determinism():

@@ -1,6 +1,7 @@
 """Rail downlink link abstraction: TBS, effective SNR, BLER, HARQ, schemes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nrtransport import (
     Scheme,
     bler,
     build_rail_deployment,
+    channel,
     effective_snr,
     hst,
     linear_trajectory,
@@ -125,6 +127,45 @@ def test_retransmissions_are_decoded_per_chunk(monkeypatch):
         chunks = math.ceil(len(linear_trajectory(500.0, 40.0, Numerology().slot_duration)) / 7)
         assert any(r.harq_attempts_used > 1 for r in results)
         assert len(calls) <= chunks * (1 + 2), scheme
+
+
+def test_grids_are_checked_and_the_tap_table_built_once_per_sweep(monkeypatch):
+    # The uniform-grid checks and the (taps, subcarriers) delay table belong to
+    # the sweep, not to its chunks: one response_grid per sweep, whatever the
+    # chunk count, and per chunk only the time terms and the TRP delay terms.
+    grid_calls, phase_calls = [], []
+    monkeypatch.setattr(hst, "SLOT_CHUNK", 7)
+    monkeypatch.setattr(hst, "response_grid", lambda *a: grid_calls.append(1) or channel.response_grid(*a))
+    grid_phases = channel._grid_phases
+    monkeypatch.setattr(channel, "_grid_phases", lambda *a: phase_calls.append(1) or grid_phases(*a))
+    chunks = math.ceil(len(linear_trajectory(500.0, 40.0, Numerology().slot_duration)) / 7)
+    for scheme in Scheme:
+        grid_calls.clear()
+        phase_calls.clear()
+        _sweep(scheme, span=40.0)
+        assert len(grid_calls) == 1, scheme
+        assert len(phase_calls) == 1 + 2 * chunks, scheme
+
+
+def test_sweep_memory_per_chunk_slot(monkeypatch):
+    # Each slot of a chunk holds its time terms, its TRP x tap delay table, H and
+    # its share of the SINR kept for HARQ candidates. From SLOT_CHUNK to twice it,
+    # the traced peak of a 120 m SFN sweep (four TRPs) grew by 39.2 kB per added
+    # slot; the bar is 20% above that, so a larger chunk or a new per-slot
+    # temporary shows here before it shows in a study's peak RSS.
+    def traced_peak(chunk):
+        monkeypatch.setattr(hst, "SLOT_CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            _sweep(Scheme.SFN, span=120.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _sweep(Scheme.SFN, span=120.0)  # one-time allocations before measuring
+    chunk = hst.SLOT_CHUNK
+    per_slot = (traced_peak(2 * chunk) - traced_peak(chunk)) / chunk
+    assert per_slot <= 47_000, per_slot
 
 
 def test_bin_size_must_be_positive():
